@@ -178,7 +178,9 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(label: &str, throughput: Option<Through
     let budget = measurement_budget();
     let samples = 11usize;
     let sample_iters = ((budget.as_secs_f64() / samples as f64 / per_iter).ceil() as u64).max(1);
-    let mut nanos: Vec<u64> = (0..samples)
+    // Whole nanoseconds for the report's wall-time fields, plus the
+    // unrounded per-iteration times: a sub-nanosecond body floors to 0.
+    let (mut nanos, mut exact): (Vec<u64>, Vec<f64>) = (0..samples)
         .map(|_| {
             let mut b = Bencher {
                 iters: sample_iters,
@@ -186,11 +188,15 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(label: &str, throughput: Option<Through
                 per_iter_nanos: 0,
             };
             f(&mut b);
-            b.per_iter_nanos()
+            (
+                b.per_iter_nanos(),
+                b.elapsed.as_nanos() as f64 / sample_iters as f64,
+            )
         })
-        .collect();
+        .unzip();
     nanos.sort_unstable();
-    let median = nanos[samples / 2] as f64 / 1e9;
+    exact.sort_unstable_by(f64::total_cmp);
+    let median = exact[samples / 2] / 1e9;
 
     let rate = throughput.map(|t| match t {
         Throughput::Elements(n) => format!("  ({:.3e} elem/s)", n as f64 / median),
@@ -207,6 +213,7 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(label: &str, throughput: Option<Through
             label: label.to_owned(),
             sample_iters,
             per_iter_nanos: nanos,
+            exact_p50_nanos: percentile(&exact, 50),
             throughput,
         });
     }
@@ -226,6 +233,8 @@ struct Record {
     label: String,
     sample_iters: u64,
     per_iter_nanos: Vec<u64>,
+    /// Median per-iteration time before flooring to whole nanoseconds.
+    exact_p50_nanos: f64,
     throughput: Option<Throughput>,
 }
 
@@ -248,7 +257,7 @@ fn escape_json(s: &str) -> String {
 }
 
 /// Nearest-rank percentile over an ascending sample list.
-fn percentile(sorted: &[u64], q: u64) -> u64 {
+fn percentile<T: Copy>(sorted: &[T], q: u64) -> T {
     let rank = ((q * sorted.len() as u64).div_ceil(100)).max(1) as usize;
     sorted[rank.min(sorted.len()) - 1]
 }
@@ -257,11 +266,12 @@ fn scenario_json(r: &Record) -> String {
     let n = &r.per_iter_nanos; // already ascending
     let mean = n.iter().sum::<u64>() as f64 / n.len() as f64;
     let p50 = percentile(n, 50);
+    let exact = r.exact_p50_nanos;
     let throughput = match r.throughput {
-        Some(Throughput::Elements(e) | Throughput::Bytes(e)) if p50 > 0 => {
-            e as f64 * 1e9 / p50 as f64
+        Some(Throughput::Elements(e) | Throughput::Bytes(e)) if exact > 0.0 => {
+            e as f64 * 1e9 / exact
         }
-        _ if p50 > 0 => 1e9 / p50 as f64,
+        _ if exact > 0.0 => 1e9 / exact,
         _ => 0.0,
     };
     let volleys = match r.throughput {

@@ -46,6 +46,7 @@
 //! # Ok::<(), st_core::CoreError>(())
 //! ```
 
+pub mod graphopt;
 pub mod packet;
 pub mod plan;
 

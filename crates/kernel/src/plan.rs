@@ -9,6 +9,8 @@ use st_net::{GateKind, Network};
 use st_obs::{ObsEvent, Probe};
 use st_trace::{SpanId, Tracer};
 
+use crate::graphopt;
+
 /// One flattened gate operation.
 ///
 /// The per-gate immediate lives in the plan's `args` arena: an input
@@ -126,17 +128,17 @@ impl Plan {
     /// `lt` latch computes `≺`, a flip-flop stage is `+1`, a tied-high
     /// wire is `∞`, and a configuration fall is a finite constant.
     ///
-    /// Flip-flop **delay chains are fused** through the shared `st-opt`
-    /// rewrites ([`st_opt::graphopt::fuse_delay_chains`] followed by
-    /// [`st_opt::graphopt::sweep_unreachable`]): a `Delay` whose source
+    /// Flip-flop **delay chains are fused** by the lint-graph rewrites in
+    /// [`crate::graphopt`] (`fuse_delay_chains` followed by
+    /// `sweep_unreachable`): a `Delay` whose source
     /// is itself a delay is emitted as one `Inc` with the summed delay,
     /// and the dead intermediate stages never reach the plan, so an
     /// `N`-cycle chain costs one gate instead of `N`.
     #[must_use]
     pub fn from_grl(netlist: &GrlNetlist) -> Plan {
         let graph = st_grl::lint::to_lint_graph(netlist);
-        let (fused, _) = st_opt::graphopt::fuse_delay_chains(&graph);
-        let (swept, _) = st_opt::graphopt::sweep_unreachable(&fused);
+        let (fused, _) = graphopt::fuse_delay_chains(&graph);
+        let (swept, _) = graphopt::sweep_unreachable(&fused);
         Plan::from_lint_graph(&swept)
     }
 
@@ -153,7 +155,7 @@ impl Plan {
     }
 
     /// Flattens a lint-IR graph (already in definition-before-use order,
-    /// as the `st-opt` rewrites guarantee) into a plan.
+    /// as the [`crate::graphopt`] rewrites guarantee) into a plan.
     fn from_lint_graph(graph: &LintGraph) -> Plan {
         let mut b = Builder::new(graph.input_count());
         for node in graph.nodes() {
@@ -535,9 +537,9 @@ mod tests {
     }
 
     /// Regression pin for the delay-fusion refactor: `from_grl` now
-    /// lowers through the shared `st-opt` fusion pass, and these dumps
-    /// were captured from the pre-refactor builder-local fusion — the
-    /// two paths must produce byte-identical plans.
+    /// lowers through the shared [`crate::graphopt`] fusion pass, and
+    /// these dumps were captured from the pre-refactor builder-local
+    /// fusion — the two paths must produce byte-identical plans.
     #[test]
     fn from_grl_plans_are_pinned_across_the_fusion_refactor() {
         let expected = [

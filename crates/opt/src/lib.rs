@@ -9,11 +9,11 @@
 //!   domain (the same `N0^∞` transfer functions as
 //!   [`st_lint::interval`]), a backward liveness domain, and a forward
 //!   value-numbering domain for congruence classes.
-//! * **[`passes`] / [`graphopt`]** — rewrite passes driven by those
-//!   facts: interval constant folding, dead-gate elimination,
-//!   hash-consed subexpression sharing, delay-chain fusion (the
-//!   [`graphopt`] form is what `st-kernel` lowers GRL through), and
-//!   Theorem-1 minterm minimization for tables.
+//! * **[`passes`]** — rewrite passes driven by those facts: interval
+//!   constant folding, dead-gate elimination, hash-consed subexpression
+//!   sharing, delay-chain fusion (the lint-graph form `st-kernel` lowers
+//!   GRL through lives in `st_kernel::graphopt`), and Theorem-1 minterm
+//!   minimization for tables.
 //! * **[`manager`]** — the verified pipeline: every pass's candidate is
 //!   gated behind `st-verify` bounded equivalence before it is
 //!   committed, so an unsound rewrite is *rejected with a minimal
@@ -32,7 +32,6 @@
 
 pub mod analyze;
 pub mod dataflow;
-pub mod graphopt;
 pub mod manager;
 pub mod passes;
 

@@ -14,15 +14,21 @@
 //! window 0 is infeasible it falls back to a deterministic seeded
 //! differential sample. Sampled acceptance is recorded as such in the
 //! [`PassRecord`], never silently conflated with a proof.
+//!
+//! A network is flattened into its kernel-backed [`NetEvaluator`] once
+//! per run: on its first proof, inside that proof's
+//! `verify.check_equiv` span, after which an accepted candidate's
+//! evaluator is the next pass's current side.
 
+use std::cell::OnceCell;
 use std::time::Instant;
 
-use st_core::FunctionTable;
+use st_core::{FunctionTable, Time, Volley};
 use st_lint::{Code, Diagnostic, Location, Report, Severity};
 use st_metrics::MetricSink;
 use st_net::{network_to_text, Network};
 use st_trace::{NullTracer, SpanId, Tracer};
-use st_verify::equiv::{check_equiv_traced, EquivResult};
+use st_verify::equiv::{check_equiv_traced, check_sampled, feasible_window, EquivResult};
 use st_verify::eval::{Evaluator, NetEvaluator, TableEvaluator};
 use st_verify::{required_window, Artifact};
 
@@ -31,9 +37,6 @@ use crate::passes;
 
 /// The default bounded-equivalence window, matching `st-verify`'s.
 const DEFAULT_WINDOW: u64 = 4;
-
-/// The exhaustive checker's volley ceiling (mirrors `st-verify`'s).
-const MAX_VOLLEYS: u64 = 4_000_000;
 
 /// Volleys drawn by the seeded differential fallback when even an
 /// exhaustive window-0 sweep is infeasible.
@@ -260,31 +263,6 @@ pub fn record_metrics<M: MetricSink>(outcome: &OptOutcome, sink: &mut M) {
     }
 }
 
-/// The largest window `<= requested` whose exhaustive domain fits the
-/// checker's ceiling, or `None` when even window 0 is too large.
-fn feasible_window(requested: u64, width: usize) -> Option<u64> {
-    let fits = |w: u64| {
-        (w + 2)
-            .checked_pow(u32::try_from(width).unwrap_or(u32::MAX))
-            .is_some_and(|total| total <= MAX_VOLLEYS)
-    };
-    (0..=requested).rev().find(|&w| fits(w))
-}
-
-/// A deterministic xorshift64* stream for the sampled fallback.
-struct SampleRng(u64);
-
-impl SampleRng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
-
 /// Gates one candidate behind the current artifact: exhaustive when
 /// feasible, seeded differential sample otherwise. The proof obligation
 /// is recorded as a `verify.check_equiv` span under the pass span, with
@@ -309,36 +287,65 @@ fn gate<T: Tracer>(
             Err(e) => Verdict::Rejected(e),
         };
     }
-    let width = current.input_width();
-    let mut rng = SampleRng(0x5EED_0007 ^ ((width as u64) << 8) ^ window);
-    for _ in 0..SAMPLE_VOLLEYS {
-        let inputs: Vec<st_core::Time> = (0..width)
-            .map(|_| {
-                let r = rng.next() % (window + 2);
-                if r == window + 1 {
-                    st_core::Time::INFINITY
-                } else {
-                    st_core::Time::finite(r)
-                }
-            })
-            .collect();
-        let l = match current.eval(&inputs) {
-            Ok(v) => v,
-            Err(e) => return Verdict::Rejected(e),
-        };
-        let r = match candidate.eval(&inputs) {
-            Ok(v) => v,
-            Err(e) => return Verdict::Rejected(e),
-        };
-        if l != r {
-            let cells: Vec<String> = inputs.iter().map(ToString::to_string).collect();
-            return Verdict::Rejected(format!(
-                "sampled differential check diverged on input [{}]",
-                cells.join(" ")
-            ));
+    match check_sampled(current, candidate, window, SAMPLE_VOLLEYS) {
+        Ok(None) => Verdict::Sampled(SAMPLE_VOLLEYS),
+        Ok(Some(c)) => Verdict::Rejected(format!(
+            "sampled differential check diverged on input [{}]",
+            c.volley_line()
+        )),
+        Err(e) => Verdict::Rejected(e),
+    }
+}
+
+/// One network side of a proof: answers its shape from the network and
+/// flattens the network into a [`NetEvaluator`] on first evaluation,
+/// which [`NetSide::into_evaluator`] hands back for reuse.
+struct NetSide<'a> {
+    network: &'a Network,
+    evaluator: OnceCell<NetEvaluator>,
+}
+
+impl<'a> NetSide<'a> {
+    /// A side over `network`, reusing `built` if it was already
+    /// flattened.
+    fn new(network: &'a Network, built: Option<NetEvaluator>) -> NetSide<'a> {
+        NetSide {
+            network,
+            evaluator: built.map_or_else(OnceCell::new, OnceCell::from),
         }
     }
-    Verdict::Sampled(SAMPLE_VOLLEYS)
+
+    fn evaluator(&self) -> &NetEvaluator {
+        self.evaluator
+            .get_or_init(|| NetEvaluator::new(self.network))
+    }
+
+    /// The flattened evaluator, if a proof got as far as building it.
+    fn into_evaluator(self) -> Option<NetEvaluator> {
+        self.evaluator.into_inner()
+    }
+}
+
+impl Evaluator for NetSide<'_> {
+    fn name(&self) -> &'static str {
+        "net"
+    }
+
+    fn input_width(&self) -> usize {
+        self.network.input_count()
+    }
+
+    fn output_width(&self) -> usize {
+        self.network.output_count()
+    }
+
+    fn eval(&self, inputs: &[Time]) -> Result<Vec<Time>, String> {
+        self.evaluator().eval(inputs)
+    }
+
+    fn eval_packet(&self, volleys: &[Volley], out: &mut [Volley]) -> Result<(), (usize, String)> {
+        self.evaluator().eval_packet(volleys, out)
+    }
 }
 
 fn rejection_diagnostic(pass: Pass, why: &str) -> Diagnostic {
@@ -392,6 +399,7 @@ pub fn optimize_network_traced<T: Tracer>(
     let mut report = analyze::analyze_network(network);
     let mut current = network.clone();
     let mut current_text = network_to_text(&current);
+    let mut current_eval = None;
     let mut records = Vec::new();
 
     for pass in pipeline {
@@ -409,22 +417,19 @@ pub fn optimize_network_traced<T: Tracer>(
             Pass::MinimizeTable => current.clone(),
         };
         let candidate_text = network_to_text(&candidate);
-        let (verdict, after) = if candidate_text == current_text {
-            (Verdict::Unchanged, before)
+        let (verdict, after, candidate_eval) = if candidate_text == current_text {
+            (Verdict::Unchanged, before, None)
         } else {
-            let v = gate(
-                &NetEvaluator::new(&current),
-                &NetEvaluator::new(&candidate),
-                window,
-                tracer,
-                span,
-            );
+            let current_side = NetSide::new(&current, current_eval.take());
+            let candidate_side = NetSide::new(&candidate, None);
+            let v = gate(&current_side, &candidate_side, window, tracer, span);
+            current_eval = current_side.into_evaluator();
             let after = if matches!(v, Verdict::Rejected(_)) {
                 before
             } else {
                 candidate.gate_count()
             };
-            (v, after)
+            (v, after, candidate_side.into_evaluator())
         };
         tracer.end(span);
         match &verdict {
@@ -433,6 +438,7 @@ pub fn optimize_network_traced<T: Tracer>(
             _ => {
                 current = candidate;
                 current_text = candidate_text;
+                current_eval = candidate_eval;
             }
         }
         records.push(PassRecord {
@@ -674,14 +680,45 @@ mod tests {
         assert!(outcome.is_clean());
     }
 
+    /// A width-22 network needs 2^22 > 4M volleys even at window 0, so
+    /// the gate falls back to the seeded sample. Pins the accept verdict
+    /// and the exact rejection text (the divergent sample is the 12th
+    /// drawn, not the first).
     #[test]
-    fn infeasible_windows_shrink_before_sampling() {
-        // Width 8 at window 4: 6^8 ≈ 1.7M fits; 7^8 ≈ 5.8M does not,
-        // so a window-9 request shrinks to 4.
-        assert_eq!(feasible_window(9, 8), Some(4));
-        assert_eq!(feasible_window(4, 8), Some(4));
-        // Width 30: even window 0 needs 2^30 volleys — sample instead.
-        assert_eq!(feasible_window(4, 30), None);
+    fn sampled_fallback_accepts_and_rejects_with_pinned_text() {
+        let wide_min = |extra: Option<Time>| {
+            let mut b = NetworkBuilder::new();
+            let mut sources = b.inputs(22);
+            if let Some(t) = extra {
+                sources.push(b.constant(t));
+            }
+            let m = b.min(sources).unwrap();
+            b.build([m])
+        };
+        let base = wide_min(None);
+        let verdict = |other: &Network| {
+            gate(
+                &NetEvaluator::new(&base),
+                &NetEvaluator::new(other),
+                DEFAULT_WINDOW,
+                &mut NullTracer,
+                SpanId::NONE,
+            )
+        };
+        // min(x, ∞) = min(x): equivalent, so every sample agrees.
+        assert_eq!(
+            verdict(&wide_min(Some(Time::INFINITY))),
+            Verdict::Sampled(4096)
+        );
+        // min(x, 0) = 0 differs only on samples without a 0 input.
+        assert_eq!(
+            verdict(&wide_min(Some(Time::finite(0)))),
+            Verdict::Rejected(
+                "sampled differential check diverged on input \
+                 [∞ 2 1 3 ∞ 4 1 1 2 ∞ ∞ 4 ∞ 1 2 2 4 4 1 3 1 2]"
+                    .to_owned()
+            )
+        );
     }
 
     #[test]

@@ -5,13 +5,24 @@
 //! each representation in the workspace — [`FunctionTable`],
 //! [`Network`], [`GrlNetlist`], and [`Column`] — the same `Evaluator`
 //! face, so any pair can be checked against any other.
+//!
+//! The checker hands volleys over in packets of up to
+//! [`lane::LANES`]. Tables, GRL simulation and columns are the
+//! reference semantics being checked against, so they take the
+//! default [`Evaluator::eval_packet`] (one [`Evaluator::eval`] per
+//! volley); a network runs on its flattened `st-kernel` plan, eight
+//! volleys per SWAR pass wherever the lanes cannot saturate.
 
-use st_core::{FunctionTable, Time, Volley};
+use std::cell::RefCell;
+
+use st_core::{lane, FunctionTable, Time, Volley};
 use st_grl::{GrlNetlist, GrlSim};
+use st_kernel::{Plan, Scratch};
 use st_net::Network;
 use st_tnn::Column;
 
-/// A multi-output spike-time function evaluated one volley at a time.
+/// A multi-output spike-time function evaluated one volley — or one
+/// packet of volleys — at a time.
 pub trait Evaluator {
     /// A short stable tag ("table", "net", "grl", "column", "spec")
     /// naming the representation in proofs and counterexamples.
@@ -31,6 +42,33 @@ pub trait Evaluator {
     /// (arity mismatch or internal failure); the checker treats this as
     /// an operational error, not a refutation.
     fn eval(&self, inputs: &[Time]) -> Result<Vec<Time>, String>;
+
+    /// Evaluates a packet of up to [`lane::LANES`] volleys,
+    /// writing the output volley of `volleys[i]` to `out[i]`. The
+    /// default calls [`Evaluator::eval`] once per volley, in order.
+    ///
+    /// # Errors
+    ///
+    /// Returns the index of the first volley whose evaluation failed,
+    /// with its message; `out` holds the outputs of every earlier
+    /// volley, so a caller comparing lanes in order sees exactly what a
+    /// volley-at-a-time walk would.
+    fn eval_packet(&self, volleys: &[Volley], out: &mut [Volley]) -> Result<(), (usize, String)> {
+        eval_each(volleys, out, |inputs| self.eval(inputs))
+    }
+}
+
+/// The volley-at-a-time packet walk behind the default
+/// [`Evaluator::eval_packet`].
+fn eval_each(
+    volleys: &[Volley],
+    out: &mut [Volley],
+    eval: impl Fn(&[Time]) -> Result<Vec<Time>, String>,
+) -> Result<(), (usize, String)> {
+    for (i, (volley, slot)) in volleys.iter().zip(out).enumerate() {
+        *slot = Volley::new(eval(volley.times()).map_err(|e| (i, e))?);
+    }
+    Ok(())
 }
 
 /// [`FunctionTable`] as a single-output evaluator (Theorem 1 minterm
@@ -82,35 +120,59 @@ impl Evaluator for TableEvaluator<'_> {
     }
 }
 
-/// [`Network`] as an evaluator (direct dataflow evaluation).
-#[derive(Debug, Clone, Copy)]
-pub struct NetEvaluator<'a> {
-    net: &'a Network,
+/// [`Network`] as an evaluator, running on the network's flattened
+/// [`Plan`]: packets whose finite inputs all lie within
+/// [`Plan::lane_input_limit`] take the lane path
+/// ([`Plan::eval_packet`], eight volleys per pass), every other volley
+/// the scalar [`Plan::eval`] — both bit-identical to
+/// [`Network::eval`].
+#[derive(Debug, Clone)]
+pub struct NetEvaluator {
+    plan: Plan,
+    scratch: RefCell<Scratch>,
 }
 
-impl<'a> NetEvaluator<'a> {
-    /// Wraps a gate network.
+impl NetEvaluator {
+    /// Flattens a gate network into its kernel plan (once; every later
+    /// evaluation reuses it).
     #[must_use]
-    pub fn new(net: &'a Network) -> NetEvaluator<'a> {
-        NetEvaluator { net }
+    pub fn new(net: &Network) -> NetEvaluator {
+        NetEvaluator {
+            plan: Plan::from_network(net),
+            scratch: RefCell::default(),
+        }
     }
 }
 
-impl Evaluator for NetEvaluator<'_> {
+impl Evaluator for NetEvaluator {
     fn name(&self) -> &'static str {
         "net"
     }
 
     fn input_width(&self) -> usize {
-        self.net.input_count()
+        self.plan.input_count()
     }
 
     fn output_width(&self) -> usize {
-        self.net.output_count()
+        self.plan.output_width()
     }
 
     fn eval(&self, inputs: &[Time]) -> Result<Vec<Time>, String> {
-        self.net.eval(inputs).map_err(|e| e.to_string())
+        self.plan.eval(inputs).map_err(|e| e.to_string())
+    }
+
+    fn eval_packet(&self, volleys: &[Volley], out: &mut [Volley]) -> Result<(), (usize, String)> {
+        let width = self.plan.input_count();
+        if (1..=lane::LANES).contains(&volleys.len())
+            && volleys.iter().all(|v| v.width() == width)
+            && self.plan.lane_capable(volleys)
+        {
+            self.plan
+                .eval_packet(&mut self.scratch.borrow_mut(), volleys, out);
+            Ok(())
+        } else {
+            eval_each(volleys, out, |inputs| self.eval(inputs))
+        }
     }
 }
 

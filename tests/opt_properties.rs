@@ -6,62 +6,13 @@
 
 mod common;
 
-use common::arbitrary::{arb_neuron, arb_time};
+use common::arbitrary::{arb_network, arb_neuron};
 use proptest::prelude::*;
-use spacetime::core::{FunctionTable, Time};
-use spacetime::net::{network_to_text, Network, NetworkBuilder};
+use spacetime::core::FunctionTable;
+use spacetime::net::{network_to_text, Network};
 use spacetime::opt::{optimize_network, passes, OptOptions, Pass, ALL_PASSES};
 use spacetime::verify::equiv::{check_equiv, EquivResult};
 use spacetime::verify::eval::{NetEvaluator, TableEvaluator};
-
-/// One random gate. Source fields are raw draws, resolved modulo the
-/// number of nodes that already exist when the gate is built.
-#[derive(Debug, Clone)]
-enum GateSpec {
-    Const(Time),
-    Min(usize, usize),
-    Max(usize, usize),
-    Lt(usize, usize),
-    Inc(usize, u64),
-}
-
-const DRAW: std::ops::Range<usize> = 0..1 << 16;
-
-fn arb_gate_spec() -> impl Strategy<Value = GateSpec> {
-    prop_oneof![
-        arb_time().prop_map(GateSpec::Const),
-        (DRAW, DRAW).prop_map(|(a, b)| GateSpec::Min(a, b)),
-        (DRAW, DRAW).prop_map(|(a, b)| GateSpec::Max(a, b)),
-        (DRAW, DRAW).prop_map(|(a, b)| GateSpec::Lt(a, b)),
-        (DRAW, 1u64..4).prop_map(|(a, d)| GateSpec::Inc(a, d)),
-    ]
-}
-
-/// A random 2-input network of up to a dozen gates. Duplicate operand
-/// pairs, constant operands, and stacked `inc` gates are all likely, so
-/// every st-opt pass regularly finds something to rewrite.
-fn arb_network() -> impl Strategy<Value = Network> {
-    (
-        prop::collection::vec(arb_gate_spec(), 1..12),
-        prop::collection::vec(DRAW, 1..=2),
-    )
-        .prop_map(|(specs, outs)| {
-            let mut b = NetworkBuilder::new();
-            let mut ids = b.inputs(2);
-            for spec in specs {
-                let id = match spec {
-                    GateSpec::Const(t) => b.constant(t),
-                    GateSpec::Min(a, c) => b.min2(ids[a % ids.len()], ids[c % ids.len()]),
-                    GateSpec::Max(a, c) => b.max2(ids[a % ids.len()], ids[c % ids.len()]),
-                    GateSpec::Lt(a, c) => b.lt(ids[a % ids.len()], ids[c % ids.len()]),
-                    GateSpec::Inc(a, d) => b.inc(ids[a % ids.len()], d),
-                };
-                ids.push(id);
-            }
-            let outputs: Vec<_> = outs.iter().map(|&o| ids[o % ids.len()]).collect();
-            b.build(outputs)
-        })
-}
 
 fn apply(pass: Pass, network: &Network) -> Network {
     match pass {
@@ -93,7 +44,7 @@ proptest! {
     /// application is a no-op) and preserves semantics exhaustively
     /// over the window-4 input domain.
     #[test]
-    fn every_network_pass_is_idempotent_and_semantics_preserving(net in arb_network()) {
+    fn every_network_pass_is_idempotent_and_semantics_preserving(net in arb_network(2, 1u64..4)) {
         for pass in ALL_PASSES {
             if pass == Pass::MinimizeTable {
                 continue; // table-only; covered below
@@ -114,7 +65,7 @@ proptest! {
     /// grows the network, never gets a pass rejected, and the final
     /// artifact is exhaustively equivalent to the input.
     #[test]
-    fn default_pipeline_is_verified_and_monotone(net in arb_network()) {
+    fn default_pipeline_is_verified_and_monotone(net in arb_network(2, 1u64..4)) {
         let outcome = optimize_network(&net, &OptOptions::default())
             .map_err(TestCaseError::fail)?;
         prop_assert_eq!(outcome.rejected(), 0, "report:\n{}", outcome.render());
