@@ -4,11 +4,12 @@
 //! race-logic netlist) is compiled **once** into a flattened
 //! [`Plan`] — topological order precomputed, struct-of-arrays gate
 //! storage, fan-ins in one contiguous arena — and volleys are then
-//! evaluated **eight at a time**, each input line's spike times packed
-//! into the u8 lanes of a `u64` (see [`st_core::lane`]). The four
-//! primitives `min`/`max`/`lt`/`inc` become a handful of branch-free
-//! SWAR instructions per packet, and an ∞-dominance early-out skips any
-//! gate whose fan-in is all-silent across the whole packet.
+//! evaluated **up to 64 at a time**, each input line's spike times
+//! packed eight to a `u64`, into the word's u8 lanes (see
+//! [`st_core::lane`]). The four primitives `min`/`max`/`lt`/`inc` become
+//! a handful of branch-free SWAR instructions per lane word, and an
+//! ∞-dominance early-out skips any gate whose fan-in is all-silent
+//! across the whole packet.
 //!
 //! Correctness rides on two facts, both pinned by exhaustive and
 //! differential tests:
@@ -36,7 +37,7 @@
 //!     vec![t(0), t(2), t(3), Time::INFINITY]
 //! );
 //!
-//! // Lane path: up to eight volleys per packet.
+//! // Lane path: up to 64 volleys per packet.
 //! let batch = vec![volley.clone(), volley];
 //! let mut out = vec![Volley::new(Vec::new()); 2];
 //! let mut scratch = Scratch::default();
@@ -50,5 +51,5 @@ pub mod graphopt;
 pub mod packet;
 pub mod plan;
 
-pub use packet::{PacketStats, Scratch};
+pub use packet::{PacketStats, Scratch, MAX_PACKET};
 pub use plan::{Op, Plan};

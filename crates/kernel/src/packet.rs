@@ -1,9 +1,11 @@
-//! The lane-packed packet executor: eight volleys per pass.
+//! The lane-packed packet executor: up to 64 volleys per pass.
 //!
-//! A *packet* is up to [`lane::LANES`] volleys evaluated together: each
-//! input line's eight spike times are packed into one `u64` word, every
-//! gate computes its SWAR op on whole words in the plan's flattened
-//! topological order, and the output words are unpacked back into
+//! A *packet* is up to [`MAX_PACKET`] volleys evaluated together: each
+//! input line's spike times are packed [`lane::LANES`] to a `u64` word,
+//! so a line (and every gate) carries a *block* of one word for a packet
+//! of up to eight volleys, eight words for a larger one. Every gate
+//! computes its SWAR op on whole blocks in the plan's flattened
+//! topological order, and the output blocks are unpacked back into
 //! per-volley output volleys. The per-gate inner loop is branch-free
 //! except for the **∞-dominance early-out**: a gate whose entire fan-in
 //! is all-silent (`∞` in every lane of every source) is skipped — its
@@ -14,18 +16,24 @@ use st_core::{lane, Volley};
 
 use crate::plan::{Op, Plan};
 
+/// Lane words per gate in the widest packet.
+const MAX_WORDS: usize = 8;
+
+/// The most volleys one [`Plan::eval_packet`] call carries: eight lane
+/// words of [`lane::LANES`] volleys each.
+pub const MAX_PACKET: usize = MAX_WORDS * lane::LANES;
+
 /// Reusable per-worker buffers for packet evaluation, so the hot loop
-/// never allocates: one word per gate, one word per input line, one
-/// word per output line.
+/// never allocates: one block per gate and one per input line.
 #[derive(Debug, Default, Clone)]
 pub struct Scratch {
     values: Vec<u64>,
     inputs: Vec<u64>,
-    outputs: Vec<u64>,
 }
 
 /// What one [`Plan::eval_packet`] call did — deterministic counts, the
-/// raw material for the `kernel.*` metrics.
+/// raw material for the `kernel.*` metrics. Each gate counts once per
+/// packet, whatever the packet's size.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PacketStats {
     /// Gates evaluated with SWAR ops.
@@ -43,8 +51,13 @@ impl PacketStats {
 }
 
 impl Plan {
-    /// Evaluates one packet of up to eight volleys through the lane
-    /// path, writing one output [`Volley`] per input volley into `out`.
+    /// Evaluates one packet of up to [`MAX_PACKET`] volleys through the
+    /// lane path, writing one output [`Volley`] per input volley into
+    /// `out` (reusing each slot's allocation).
+    ///
+    /// A packet of at most [`lane::LANES`] volleys walks the plan with
+    /// one lane word per gate, a larger one with eight; the walk is the
+    /// same code either way.
     ///
     /// Callers must pre-check the batch with [`Plan::lane_capable`] and
     /// volley widths with [`Plan::input_count`]; within that contract
@@ -52,7 +65,7 @@ impl Plan {
     ///
     /// # Panics
     ///
-    /// Panics if `volleys` is empty or longer than [`lane::LANES`], if
+    /// Panics if `volleys` is empty or longer than [`MAX_PACKET`], if
     /// `out` is shorter than `volleys`, or if a volley violates the
     /// width/bound contract above.
     pub fn eval_packet(
@@ -61,95 +74,111 @@ impl Plan {
         volleys: &[Volley],
         out: &mut [Volley],
     ) -> PacketStats {
-        let members = volleys.len();
         assert!(
-            (1..=lane::LANES).contains(&members),
-            "1..=8 volleys per packet"
+            (1..=MAX_PACKET).contains(&volleys.len()),
+            "1..={MAX_PACKET} volleys per packet"
         );
-        assert!(out.len() >= members, "output slice too short");
+        assert!(out.len() >= volleys.len(), "output slice too short");
+        if volleys.len() <= lane::LANES {
+            self.walk::<1>(scratch, volleys, out)
+        } else {
+            self.walk::<MAX_WORDS>(scratch, volleys, out)
+        }
+    }
 
-        // Transpose the volleys into one packed word per input line.
-        scratch.inputs.clear();
-        scratch.inputs.resize(self.input_count(), lane::ALL_INF);
+    /// The packet walk over `K`-word blocks: volley `j` rides in word
+    /// `j / 8`, lane `j % 8`, of every block.
+    fn walk<const K: usize>(
+        &self,
+        scratch: &mut Scratch,
+        volleys: &[Volley],
+        out: &mut [Volley],
+    ) -> PacketStats {
+        let Scratch { values, inputs } = scratch;
+
+        // Transpose the volleys into one packed block per input line.
+        inputs.clear();
+        inputs.resize(self.input_count() * K, lane::ALL_INF);
         for (j, volley) in volleys.iter().enumerate() {
             let times = volley.times();
             assert!(
                 times.len() == self.input_count(),
                 "volley width pre-checked"
             );
+            let (word, shift) = (j / lane::LANES, 8 * (j % lane::LANES));
             for (line, &t) in times.iter().enumerate() {
                 let byte = lane::encode(t).expect("lane bound pre-checked");
-                let shift = 8 * j;
-                scratch.inputs[line] =
-                    (scratch.inputs[line] & !(0xFF << shift)) | (u64::from(byte) << shift);
+                let slot = &mut inputs[line * K + word];
+                *slot = (*slot & !(0xFF << shift)) | (u64::from(byte) << shift);
             }
         }
+        let (inputs, _) = inputs.as_chunks::<K>();
 
-        let mut stats = PacketStats::default();
+        // Every gate's block is written before any later gate reads it,
+        // so blocks left over from an earlier packet are never seen.
         let ops = self.ops();
         let args = self.args();
-        scratch.values.clear();
-        scratch.values.reserve(ops.len());
+        if values.len() < ops.len() * K {
+            values.resize(ops.len() * K, 0);
+        }
+        let (values, _) = values.as_chunks_mut::<K>();
+        let silent = [lane::ALL_INF; K];
+        let mut stats = PacketStats::default();
         for g in 0..ops.len() {
-            let word = match ops[g] {
-                Op::Input => scratch.inputs[args[g] as usize],
-                Op::Const => self.lane_consts()[args[g] as usize],
+            let block = match ops[g] {
+                Op::Input => inputs[args[g] as usize],
+                Op::Const => [self.lane_consts()[args[g] as usize]; K],
                 op => {
                     let srcs = self.fan_in(g);
-                    let silent = !srcs.is_empty()
-                        && srcs
-                            .iter()
-                            .all(|&s| scratch.values[s as usize] == lane::ALL_INF);
-                    if silent {
+                    if !srcs.is_empty() && srcs.iter().all(|&s| values[s as usize] == silent) {
                         // ∞-dominance: an all-silent fan-in forces an
                         // all-silent output for every op (∧, ∨, ≺, +c
                         // all map ∞ to ∞), so skip the SWAR work.
                         stats.gates_skipped += 1;
-                        lane::ALL_INF
+                        silent
                     } else {
                         stats.gates_swar += 1;
+                        let src = |i: usize| values[srcs[i] as usize];
                         match op {
                             Op::Min => srcs[1..]
                                 .iter()
-                                .fold(scratch.values[srcs[0] as usize], |acc, &s| {
-                                    lane::min(acc, scratch.values[s as usize])
-                                }),
+                                .fold(src(0), |acc, &s| each(acc, values[s as usize], lane::min)),
                             Op::Max => srcs[1..]
                                 .iter()
-                                .fold(scratch.values[srcs[0] as usize], |acc, &s| {
-                                    lane::max(acc, scratch.values[s as usize])
-                                }),
-                            Op::Lt => lane::lt_gate(
-                                scratch.values[srcs[0] as usize],
-                                scratch.values[srcs[1] as usize],
-                            ),
-                            Op::Inc => lane::inc(
-                                scratch.values[srcs[0] as usize],
-                                self.lane_delays()[args[g] as usize],
-                            ),
+                                .fold(src(0), |acc, &s| each(acc, values[s as usize], lane::max)),
+                            Op::Lt => each(src(0), src(1), lane::lt_gate),
+                            Op::Inc => {
+                                let delay = self.lane_delays()[args[g] as usize];
+                                src(0).map(|word| lane::inc(word, delay))
+                            }
                             Op::Input | Op::Const => unreachable!("handled above"),
                         }
                     }
                 }
             };
-            scratch.values.push(word);
+            values[g] = block;
         }
 
-        // Untranspose: one output word per line → one volley per lane.
-        scratch.outputs.clear();
-        scratch
-            .outputs
-            .extend(self.outputs().iter().map(|&o| scratch.values[o as usize]));
-        for (j, slot) in out.iter_mut().enumerate().take(members) {
-            let times = scratch
-                .outputs
-                .iter()
-                .map(|&word| lane::decode(lane::get(word, j)))
-                .collect();
+        // Untranspose: one output block per line → one volley per lane.
+        for (j, slot) in out.iter_mut().enumerate().take(volleys.len()) {
+            let (word, lane_index) = (j / lane::LANES, j % lane::LANES);
+            let mut times = Vec::from(std::mem::take(slot));
+            times.clear();
+            times.extend(
+                self.outputs()
+                    .iter()
+                    .map(|&o| lane::decode(lane::get(values[o as usize][word], lane_index))),
+            );
             *slot = Volley::new(times);
         }
         stats
     }
+}
+
+/// One SWAR op applied word by word across two blocks.
+#[inline]
+fn each<const K: usize>(a: [u64; K], b: [u64; K], op: impl Fn(u64, u64) -> u64) -> [u64; K] {
+    std::array::from_fn(|i| op(a[i], b[i]))
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ impl Op {
 /// values that don't fit an index (`consts`, `delays`). Build once with
 /// [`Plan::from_network`] / [`Plan::from_grl`], then evaluate many
 /// volleys with [`Plan::eval`] (scalar) or
-/// [`Plan::eval_packet`](crate::packet) (eight lanes per pass).
+/// [`Plan::eval_packet`](crate::packet) (up to 64 lanes per pass).
 #[derive(Debug, Clone)]
 pub struct Plan {
     input_count: usize,

@@ -15,10 +15,15 @@
 //! differential sample. Sampled acceptance is recorded as such in the
 //! [`PassRecord`], never silently conflated with a proof.
 //!
-//! A network is flattened into its kernel-backed [`NetEvaluator`] once
-//! per run: on its first proof, inside that proof's
-//! `verify.check_equiv` span, after which an accepted candidate's
-//! evaluator is the next pass's current side.
+//! A network pipeline checks every candidate against the *original*
+//! network, through one [`Reference`] of its outputs per run. A
+//! candidate accepted by a proof agrees with the original on the whole
+//! window, and one accepted on a sample agrees with it on that sample
+//! (every sampled check of a run draws the same volleys), so every
+//! verdict and counterexample is the one a check against the previous
+//! pass's network would give, while each proof evaluates only the
+//! candidate. The original is flattened, and its outputs stored, on the
+//! run's first proof, inside that proof's `verify.check_equiv` span.
 
 use std::cell::OnceCell;
 use std::time::Instant;
@@ -29,7 +34,7 @@ use st_metrics::MetricSink;
 use st_net::{network_to_text, Network};
 use st_trace::{NullTracer, SpanId, Tracer};
 use st_verify::equiv::{check_equiv_traced, check_sampled, feasible_window, EquivResult};
-use st_verify::eval::{Evaluator, NetEvaluator, TableEvaluator};
+use st_verify::eval::{Evaluator, NetEvaluator, Reference, TableEvaluator};
 use st_verify::{required_window, Artifact};
 
 use crate::analyze;
@@ -263,20 +268,20 @@ pub fn record_metrics<M: MetricSink>(outcome: &OptOutcome, sink: &mut M) {
     }
 }
 
-/// Gates one candidate behind the current artifact: exhaustive when
-/// feasible, seeded differential sample otherwise. The proof obligation
-/// is recorded as a `verify.check_equiv` span under the pass span, with
-/// the prover's own `verify.window` sub-spans below it.
+/// Gates one candidate behind the artifact it must equal: exhaustive
+/// when feasible, seeded differential sample otherwise. The proof
+/// obligation is recorded as a `verify.check_equiv` span under the pass
+/// span, with the prover's own `verify.window` sub-spans below it.
 fn gate<T: Tracer>(
-    current: &dyn Evaluator,
+    reference: &dyn Evaluator,
     candidate: &dyn Evaluator,
     window: u64,
     tracer: &mut T,
     parent: SpanId,
 ) -> Verdict {
-    if let Some(w) = feasible_window(window, current.input_width()) {
+    if let Some(w) = feasible_window(window, reference.input_width()) {
         let span = tracer.begin("verify.check_equiv", parent);
-        let result = check_equiv_traced(current, candidate, w, tracer, span);
+        let result = check_equiv_traced(reference, candidate, w, tracer, span);
         tracer.end(span);
         return match result {
             Ok(EquivResult::Proved(_)) => Verdict::Proved(w),
@@ -287,7 +292,7 @@ fn gate<T: Tracer>(
             Err(e) => Verdict::Rejected(e),
         };
     }
-    match check_sampled(current, candidate, window, SAMPLE_VOLLEYS) {
+    match check_sampled(reference, candidate, window, SAMPLE_VOLLEYS) {
         Ok(None) => Verdict::Sampled(SAMPLE_VOLLEYS),
         Ok(Some(c)) => Verdict::Rejected(format!(
             "sampled differential check diverged on input [{}]",
@@ -298,31 +303,24 @@ fn gate<T: Tracer>(
 }
 
 /// One network side of a proof: answers its shape from the network and
-/// flattens the network into a [`NetEvaluator`] on first evaluation,
-/// which [`NetSide::into_evaluator`] hands back for reuse.
+/// flattens the network into a [`NetEvaluator`] on first evaluation, so
+/// the flattening is timed inside the proof's `verify.check_equiv` span.
 struct NetSide<'a> {
     network: &'a Network,
     evaluator: OnceCell<NetEvaluator>,
 }
 
 impl<'a> NetSide<'a> {
-    /// A side over `network`, reusing `built` if it was already
-    /// flattened.
-    fn new(network: &'a Network, built: Option<NetEvaluator>) -> NetSide<'a> {
+    fn new(network: &'a Network) -> NetSide<'a> {
         NetSide {
             network,
-            evaluator: built.map_or_else(OnceCell::new, OnceCell::from),
+            evaluator: OnceCell::new(),
         }
     }
 
     fn evaluator(&self) -> &NetEvaluator {
         self.evaluator
             .get_or_init(|| NetEvaluator::new(self.network))
-    }
-
-    /// The flattened evaluator, if a proof got as far as building it.
-    fn into_evaluator(self) -> Option<NetEvaluator> {
-        self.evaluator.into_inner()
     }
 }
 
@@ -345,6 +343,10 @@ impl Evaluator for NetSide<'_> {
 
     fn eval_packet(&self, volleys: &[Volley], out: &mut [Volley]) -> Result<(), (usize, String)> {
         self.evaluator().eval_packet(volleys, out)
+    }
+
+    fn invariant(&self) -> bool {
+        self.evaluator().invariant()
     }
 }
 
@@ -399,7 +401,12 @@ pub fn optimize_network_traced<T: Tracer>(
     let mut report = analyze::analyze_network(network);
     let mut current = network.clone();
     let mut current_text = network_to_text(&current);
-    let mut current_eval = None;
+    // Stored over the window the proofs exhaust; a run that can only
+    // sample has a domain too large to store, and evaluates it live.
+    let reference = Reference::new(
+        NetSide::new(network),
+        feasible_window(window, network.input_count()).unwrap_or(window),
+    );
     let mut records = Vec::new();
 
     for pass in pipeline {
@@ -417,19 +424,16 @@ pub fn optimize_network_traced<T: Tracer>(
             Pass::MinimizeTable => current.clone(),
         };
         let candidate_text = network_to_text(&candidate);
-        let (verdict, after, candidate_eval) = if candidate_text == current_text {
-            (Verdict::Unchanged, before, None)
+        let (verdict, after) = if candidate_text == current_text {
+            (Verdict::Unchanged, before)
         } else {
-            let current_side = NetSide::new(&current, current_eval.take());
-            let candidate_side = NetSide::new(&candidate, None);
-            let v = gate(&current_side, &candidate_side, window, tracer, span);
-            current_eval = current_side.into_evaluator();
+            let v = gate(&reference, &NetSide::new(&candidate), window, tracer, span);
             let after = if matches!(v, Verdict::Rejected(_)) {
                 before
             } else {
                 candidate.gate_count()
             };
-            (v, after, candidate_side.into_evaluator())
+            (v, after)
         };
         tracer.end(span);
         match &verdict {
@@ -438,7 +442,6 @@ pub fn optimize_network_traced<T: Tracer>(
             _ => {
                 current = candidate;
                 current_text = candidate_text;
-                current_eval = candidate_eval;
             }
         }
         records.push(PassRecord {

@@ -8,16 +8,25 @@
 //! counterexample** — no volley with a smaller temporal extent separates
 //! the two sides.
 //!
-//! Volleys travel in packets of up to [`lane::LANES`] consecutive ones
+//! When both sides are shift-invariant ([`Evaluator::invariant`]), every
+//! volley whose earliest spike is at `c > 0` is a shifted copy of one
+//! spiking at 0 (§ III.C), so the walk visits only the volleys with a
+//! spike at 0 plus the all-silent one, in the same order. The minimal
+//! counterexample cannot move: shifting one whose earliest spike is at
+//! `m > 0` back by `m` would give a counterexample of smaller extent.
+//!
+//! Volleys travel in packets of up to [`MAX_PACKET`] consecutive ones
 //! ([`Evaluator::eval_packet`]), and each packet's lanes are compared
-//! in order, so every verdict, counterexample and volley count is the
-//! one a volley-at-a-time walk would produce. [`check_sampled`] walks a
-//! seeded sample through the same packets when a domain is too large to
-//! exhaust.
+//! in order, so every verdict and counterexample is the one a
+//! volley-at-a-time walk over the same volleys would produce.
+//! [`check_sampled`] walks a seeded sample through the same packets
+//! when a domain is too large to exhaust.
 
 use core::fmt;
+use core::ops::Range;
 
-use st_core::{enumerate_inputs, lane, Time, Volley};
+use st_core::{Time, Volley};
+use st_kernel::MAX_PACKET;
 use st_trace::{NullTracer, SpanId, Tracer};
 
 use crate::eval::Evaluator;
@@ -36,7 +45,9 @@ pub struct EquivProof {
     pub right: String,
     /// The coding window that was exhausted.
     pub window: u64,
-    /// How many volleys were compared.
+    /// How many volleys were walked: `(window + 2)^width`, or
+    /// `(window + 2)^width − (window + 1)^width + 1` when both sides are
+    /// shift-invariant.
     pub volleys: u64,
 }
 
@@ -126,20 +137,38 @@ impl EquivResult {
 /// Whether the exhaustive `(window + 2)^width` domain fits
 /// [`MAX_VOLLEYS`].
 fn fits(window: u64, width: usize) -> bool {
-    (window + 2)
-        .checked_pow(u32::try_from(width).unwrap_or(u32::MAX))
-        .is_some_and(|total| total <= MAX_VOLLEYS)
+    feasible_window(window, width) == Some(window)
 }
 
 /// The largest window `<= requested` whose exhaustive domain fits
 /// [`MAX_VOLLEYS`], or `None` when even window 0 is too large.
 #[must_use]
 pub fn feasible_window(requested: u64, width: usize) -> Option<u64> {
-    (0..=requested).rev().find(|&w| fits(w, width))
+    let Ok(width) = u32::try_from(width) else {
+        return None;
+    };
+    if width == 0 {
+        // One volley, the empty one, at any window.
+        return Some(requested);
+    }
+    // Bisect for the largest base `window + 2` whose domain fits: base 1
+    // always does and `MAX_VOLLEYS + 1` never does.
+    let fits_base = |base: u64| base.checked_pow(width).is_some_and(|n| n <= MAX_VOLLEYS);
+    let (mut base, mut too_large) = (1, MAX_VOLLEYS + 1);
+    while too_large - base > 1 {
+        let mid = base + (too_large - base) / 2;
+        if fits_base(mid) {
+            base = mid;
+        } else {
+            too_large = mid;
+        }
+    }
+    base.checked_sub(2).map(|largest| largest.min(requested))
 }
 
 /// Exhaustively compares two evaluators over every normalized volley
-/// with entries in `{0, …, window} ∪ {∞}`.
+/// with entries in `{0, …, window} ∪ {∞}` — only those with a spike at 0,
+/// plus the all-silent one, when both sides are shift-invariant.
 ///
 /// Volleys are visited in order of increasing temporal extent (all
 /// volleys of extent `w` before any of extent `w + 1`), so a refutation
@@ -181,15 +210,15 @@ pub fn check_equiv_traced<T: Tracer>(
              lower --window"
         ));
     }
+    let normalized = left.invariant() && right.invariant();
+    // With no inputs the one volley, the empty one, has extent 0.
+    let last = if width == 0 { 0 } else { window };
     let mut packets = Packets::new(left, right);
     let mut volleys = 0u64;
-    for extent in 0..=window {
+    for extent in 0..=last {
         let _span = tracer.span("verify.window", parent);
-        // Volleys already covered at a smaller extent are skipped: only
-        // those that actually use tick `extent` are new.
-        let fresh = enumerate_inputs(width, extent)
-            .filter(|inputs| extent == 0 || inputs.contains(&Time::finite(extent)));
-        match packets.walk(fresh) {
+        let mut fresh = Extent::new(width, extent, normalized);
+        match packets.walk(|out| fresh.next_into(out)) {
             Walk::Agreed(n) => volleys += n,
             Walk::Refuted(c) => return Ok(EquivResult::Refuted(c)),
             Walk::Failed(side, e) => return Err(format!("{side} failed: {e}")),
@@ -201,6 +230,100 @@ pub fn check_equiv_traced<T: Tracer>(
         window,
         volleys,
     }))
+}
+
+/// The volleys one extent adds to the walk, in
+/// [`st_core::enumerate_inputs`] order (line 0's digit least
+/// significant, digit `extent + 1` standing for `∞`): those that use
+/// tick `extent` — every volley at extent 0 — and, on a normalized walk,
+/// only those of them that also spike at 0.
+///
+/// The walk steps through *rows*, the digits of lines `1..`, and in
+/// each row jumps straight to the line-0 digits that make the volley
+/// fresh, so its cost follows the volleys it yields rather than the
+/// `(extent + 2)^width` volleys it passes over.
+struct Extent {
+    extent: u64,
+    normalized: bool,
+    /// Line 0's digit (rewritten per volley), then the row.
+    digits: Vec<u64>,
+    /// The line-0 digits still to yield in the current row.
+    lows: Range<u64>,
+    done: bool,
+}
+
+impl Extent {
+    fn new(width: usize, extent: u64, normalized: bool) -> Extent {
+        let mut walk = Extent {
+            extent,
+            normalized,
+            digits: vec![0; width],
+            lows: 0..0,
+            done: false,
+        };
+        walk.lows = walk.fresh_lows();
+        walk
+    }
+
+    /// The line-0 digits that make a volley with the current row fresh.
+    fn fresh_lows(&self) -> Range<u64> {
+        let (tick, silent) = (self.extent, self.extent + 1);
+        let none = tick..tick;
+        if self.digits.is_empty() {
+            // The empty volley, the only one, has extent 0.
+            return if tick == 0 { 0..1 } else { none };
+        }
+        if tick == 0 {
+            return 0..silent + 1;
+        }
+        let row = self.digits.get(1..).unwrap_or_default();
+        let needs_tick = !row.contains(&tick);
+        let needs_zero = self.normalized && !row.contains(&0);
+        match (needs_tick, needs_zero) {
+            // Line 0 cannot be both `tick` and 0.
+            (true, true) => none,
+            (true, false) => tick..tick + 1,
+            (false, true) => 0..1,
+            (false, false) => 0..silent + 1,
+        }
+    }
+
+    /// Writes the next volley into `out`, reusing its allocation, or
+    /// returns `false` once the extent is exhausted.
+    fn next_into(&mut self, out: &mut Vec<Time>) -> bool {
+        let silent = self.extent + 1;
+        while !self.done {
+            if let Some(low) = self.lows.next() {
+                if let Some(first) = self.digits.first_mut() {
+                    *first = low;
+                }
+                out.clear();
+                out.extend(self.digits.iter().map(|&d| {
+                    if d == silent {
+                        Time::INFINITY
+                    } else {
+                        Time::finite(d)
+                    }
+                }));
+                return true;
+            }
+            self.next_row();
+        }
+        false
+    }
+
+    /// Steps the row odometer, or ends the extent when it wraps.
+    fn next_row(&mut self) {
+        for digit in self.digits.iter_mut().skip(1) {
+            if *digit <= self.extent {
+                *digit += 1;
+                self.lows = self.fresh_lows();
+                return;
+            }
+            *digit = 0;
+        }
+        self.done = true;
+    }
 }
 
 /// Compares two evaluators on `count` seeded pseudo-random volleys with
@@ -224,19 +347,24 @@ pub fn check_sampled(
     check_shapes(left, right)?;
     let width = left.input_width();
     let mut rng = SampleRng(0x5EED_0007 ^ ((width as u64) << 8) ^ window);
-    let samples = (0..count).map(|_| {
-        (0..width)
-            .map(|_| {
-                let r = rng.next() % (window + 2);
-                if r == window + 1 {
-                    Time::INFINITY
-                } else {
-                    Time::finite(r)
-                }
-            })
-            .collect()
-    });
-    match Packets::new(left, right).walk(samples) {
+    let mut drawn = 0;
+    let mut sample = |out: &mut Vec<Time>| {
+        if drawn == count {
+            return false;
+        }
+        drawn += 1;
+        out.clear();
+        out.extend((0..width).map(|_| {
+            let r = rng.next() % (window + 2);
+            if r == window + 1 {
+                Time::INFINITY
+            } else {
+                Time::finite(r)
+            }
+        }));
+        true
+    };
+    match Packets::new(left, right).walk(&mut sample) {
         Walk::Agreed(_) => Ok(None),
         Walk::Refuted(c) => Ok(Some(c)),
         Walk::Failed(_, e) => Err(e),
@@ -305,45 +433,54 @@ impl<'a> Packets<'a> {
         Packets {
             left,
             right,
-            volleys: Vec::with_capacity(lane::LANES),
-            left_out: vec![Volley::default(); lane::LANES],
-            right_out: vec![Volley::default(); lane::LANES],
+            volleys: vec![Volley::default(); MAX_PACKET],
+            left_out: vec![Volley::default(); MAX_PACKET],
+            right_out: vec![Volley::default(); MAX_PACKET],
         }
     }
 
-    /// Walks `inputs` in packets of up to [`lane::LANES`] consecutive
-    /// volleys and stops where a volley-at-a-time walk would: at the
-    /// first volley on which the left side fails, the right side fails,
-    /// or the two disagree, checked in that order.
-    fn walk(&mut self, mut inputs: impl Iterator<Item = Vec<Time>>) -> Walk {
+    /// Walks the volleys `next` writes, until it returns `false`, in
+    /// packets of up to [`MAX_PACKET`] consecutive volleys, and stops
+    /// where a volley-at-a-time walk would: at the first volley on which
+    /// the left side fails, the right side fails, or the two disagree,
+    /// checked in that order.
+    fn walk(&mut self, mut next: impl FnMut(&mut Vec<Time>) -> bool) -> Walk {
         let mut agreed = 0;
         loop {
-            self.volleys.clear();
-            self.volleys
-                .extend(inputs.by_ref().take(lane::LANES).map(Volley::new));
-            let n = self.volleys.len();
+            let mut n = 0;
+            while n < MAX_PACKET {
+                let mut times = Vec::from(std::mem::take(&mut self.volleys[n]));
+                let more = next(&mut times);
+                self.volleys[n] = Volley::new(times);
+                if !more {
+                    break;
+                }
+                n += 1;
+            }
             if n == 0 {
                 return Walk::Agreed(agreed);
             }
+            let volleys = &self.volleys[..n];
             let left_failed = self
                 .left
-                .eval_packet(&self.volleys, &mut self.left_out[..n])
+                .eval_packet(volleys, &mut self.left_out[..n])
                 .err();
             let right_failed = self
                 .right
-                .eval_packet(&self.volleys, &mut self.right_out[..n])
+                .eval_packet(volleys, &mut self.right_out[..n])
                 .err();
             // Lanes before either failure hold valid outputs on both sides.
             let left_stop = left_failed.as_ref().map_or(n, |(at, _)| *at);
             let right_stop = right_failed.as_ref().map_or(n, |(at, _)| *at);
-            for lane in 0..left_stop.min(right_stop) {
+            let compared = left_stop.min(right_stop);
+            for (lane, volley) in volleys.iter().enumerate().take(compared) {
                 let l = self.left_out[lane].times();
                 let r = self.right_out[lane].times();
                 if let Some(output) = (0..l.len()).find(|&i| l[i] != r[i]) {
                     return Walk::Refuted(Counterexample {
                         left: self.left.name().to_owned(),
                         right: self.right.name().to_owned(),
-                        inputs: self.volleys[lane].times().to_vec(),
+                        inputs: volley.times().to_vec(),
                         left_outputs: l.to_vec(),
                         right_outputs: r.to_vec(),
                         output,
@@ -366,7 +503,7 @@ impl<'a> Packets<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{NetEvaluator, TableEvaluator};
+    use crate::eval::{Evaluator, NetEvaluator, TableEvaluator};
     use st_core::FunctionTable;
     use st_kernel::{Plan, Scratch};
     use st_net::NetworkBuilder;
@@ -385,8 +522,9 @@ mod tests {
         let result = check_equiv(&TableEvaluator::new(&t), &TableEvaluator::spec(&t), 3).unwrap();
         let proof = result.proof().expect("self-equivalence");
         assert_eq!(proof.window, 3);
-        // Every volley over {0..3, ∞}³, counted once: 5³.
-        assert_eq!(proof.volleys, 125);
+        // Tables are shift-invariant, so only the volleys over {0..3, ∞}³
+        // with a spike at 0, plus the all-silent one: 5³ − 4³ + 1.
+        assert_eq!(proof.volleys, 62);
     }
 
     #[test]
@@ -423,6 +561,57 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("domain too large"), "{err}");
+        // `window + 2` would overflow at the top of the range.
+        for window in [u64::MAX, u64::MAX - 1] {
+            let err = check_equiv(&TableEvaluator::new(&t), &TableEvaluator::spec(&t), window)
+                .unwrap_err();
+            assert!(err.contains("domain too large"), "{err}");
+        }
+    }
+
+    /// With no inputs the only volley is the empty one, at extent 0, so
+    /// a huge window costs one volley.
+    #[test]
+    fn a_zero_input_network_proves_at_any_window() {
+        let net = st_net::parse_network("g0 = const 3\noutputs g0\n").unwrap();
+        let result = check_equiv(
+            &NetEvaluator::new(&net),
+            &NetEvaluator::new(&net),
+            10_000_000_000,
+        )
+        .unwrap();
+        let proof = result.proof().expect("a network equals itself");
+        assert_eq!(proof.window, 10_000_000_000);
+        assert_eq!(proof.volleys, 1);
+    }
+
+    /// `x` and `lt(x, 1)` agree on both volleys with a spike at 0 (`0`
+    /// and `∞`); the finite constant makes the right side report
+    /// `invariant() == false`, so the walk still meets `[1]`. Against
+    /// `lt(x, 5)`, equal through window 4, it walks all six volleys.
+    #[test]
+    fn a_finite_constant_keeps_the_full_walk() {
+        let mut b = NetworkBuilder::new();
+        let x = b.input();
+        let identity = NetEvaluator::new(&b.build([x]));
+        assert!(identity.invariant());
+        let gated = |bound: u64| {
+            let mut b = NetworkBuilder::new();
+            let x = b.input();
+            let c = b.constant(t(bound));
+            let l = b.lt(x, c);
+            NetEvaluator::new(&b.build([l]))
+        };
+        assert!(!gated(1).invariant());
+
+        let result = check_equiv(&identity, &gated(1), 4).unwrap();
+        let cex = result.counterexample().expect("1 is not ∞");
+        assert_eq!(cex.inputs, vec![t(1)]);
+        assert_eq!(cex.left_outputs, vec![t(1)]);
+        assert_eq!(cex.right_outputs, vec![Time::INFINITY]);
+
+        let result = check_equiv(&identity, &gated(5), 4).unwrap();
+        assert_eq!(result.proof().map(|p| p.volleys), Some(6));
     }
 
     /// `inc(x, 252)` has lane limit 2: at x = 3 and x = 4 its lanes
@@ -509,5 +698,10 @@ mod tests {
         assert_eq!(feasible_window(4, 8), Some(4));
         // Width 30: even window 0 needs 2^30 volleys — sample instead.
         assert_eq!(feasible_window(4, 30), None);
+        // Huge requests start at the largest window that can fit:
+        // 158³ ≤ 4M < 159³, and 2000² = 4M.
+        assert_eq!(feasible_window(u64::MAX, 3), Some(156));
+        assert_eq!(feasible_window(1_000_000_000_000, 2), Some(1998));
+        assert_eq!(feasible_window(u64::MAX, 0), Some(u64::MAX));
     }
 }

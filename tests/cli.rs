@@ -1186,6 +1186,25 @@ fn example(name: &str) -> String {
 }
 
 #[test]
+fn verify_at_the_largest_window_exits_two_with_domain_too_large() {
+    // `window + 2` overflows here; the ceiling check must still refuse.
+    let out = bin()
+        .args([
+            "verify",
+            &example("fig6.net"),
+            "--window",
+            "18446744073709551615",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("domain too large"),
+        "{out:?}"
+    );
+}
+
+#[test]
 fn lint_relational_tier_is_opt_in_per_witness() {
     // Each committed STA3xx witness is clean under the default tier and
     // earns exactly its documented finding under --relational — and the

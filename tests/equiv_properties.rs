@@ -1,18 +1,21 @@
 //! Packet ≡ scalar differential battery for the bounded equivalence
 //! checker. `check_equiv` walks the normalized domain in packets of up
-//! to eight volleys and runs `net` sides on their kernel plans; on
-//! random networks, on every single-gate mutant of them, and with
-//! evaluators that fail on one volley, it must return exactly what a
-//! volley-at-a-time walk over `Network::eval` returns: the same verdict,
-//! the same `EquivProof::volleys`, the same counterexample (inputs, both
-//! output volleys, output index) or the same error.
+//! to 64 volleys, runs `net` sides on their kernel plans, and skips the
+//! shifted copies when both sides are shift-invariant; on random
+//! networks, on every single-gate mutant of them, and with evaluators
+//! that fail on one volley, it must return exactly what a
+//! volley-at-a-time walk over `Network::eval` and the whole domain
+//! returns: the same verdict, the same counterexample (inputs, both
+//! output volleys, output index) or the same error. Only
+//! `EquivProof::volleys` differs, by the closed form of the skipped
+//! volleys. A [`Reference`] table of a network, shared by proof after
+//! proof, must give exactly what live evaluation gives.
 //!
-//! Widths 1–4 make most extents' volley counts non-multiples of eight
-//! (width 2 at extent 1 has 5, width 3 has 19), so the last packet of an
-//! extent is usually partial. Delays near the lane ceiling put
-//! `lane_input_limit` inside the window, so one check mixes lane and
-//! scalar packets, and mutants' `inc` bumps move the limit between the
-//! two sides.
+//! Widths 1–4 make most extents' volley counts non-multiples of the
+//! packet size, so the last packet of an extent is usually partial.
+//! Delays near the lane ceiling put `lane_input_limit` inside the
+//! window, so one check mixes lane and scalar packets, and mutants'
+//! `inc` bumps move the limit between the two sides.
 
 mod common;
 
@@ -22,7 +25,7 @@ use spacetime::core::{enumerate_inputs, Time, Volley};
 use spacetime::net::{network_to_text, parse_network, Network};
 use spacetime::neuron::structural::srm0_network;
 use spacetime::verify::equiv::{check_equiv, Counterexample, EquivProof, EquivResult};
-use spacetime::verify::eval::{Evaluator, NetEvaluator};
+use spacetime::verify::eval::{Evaluator, NetEvaluator, Reference};
 use spacetime::verify::mutate::net_mutants;
 
 /// The checker's domain in its visiting order: extent by extent, each
@@ -34,8 +37,42 @@ fn domain(width: usize, window: u64) -> impl Iterator<Item = Vec<Time>> {
     })
 }
 
-/// The scalar reference walk: one volley at a time through
-/// [`Evaluator::eval`] only.
+/// How many volleys `check_equiv` walks at `width` and `window`: the
+/// whole domain, or only the volleys spiking at 0 plus the all-silent
+/// one when both sides are shift-invariant.
+fn walked(width: usize, window: u64, invariant: bool) -> u64 {
+    let width = u32::try_from(width).unwrap();
+    let all = (window + 2).pow(width);
+    if invariant {
+        all - (window + 1).pow(width) + 1
+    } else {
+        all
+    }
+}
+
+/// What `check_equiv` must return: the oracle's result, its proof
+/// counting the volleys a normalized walk skips only when both sides
+/// are invariant.
+fn expected(
+    oracle: Result<EquivResult, String>,
+    left: &dyn Evaluator,
+    right: &dyn Evaluator,
+) -> Result<EquivResult, String> {
+    oracle.map(|result| match result {
+        EquivResult::Proved(proof) => EquivResult::Proved(EquivProof {
+            volleys: walked(
+                left.input_width(),
+                proof.window,
+                left.invariant() && right.invariant(),
+            ),
+            ..proof
+        }),
+        refuted => refuted,
+    })
+}
+
+/// The scalar reference walk over the whole domain: one volley at a
+/// time through [`Evaluator::eval`] only.
 fn reference_walk(
     left: &dyn Evaluator,
     right: &dyn Evaluator,
@@ -172,16 +209,50 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Kernel-backed packets and the scalar walk agree on every pair of
-    /// a network and one of its mutants, in both orientations.
+    /// a network and one of its mutants, in both orientations, and a
+    /// proof walks the closed-form count of volleys.
     #[test]
     fn packet_checker_matches_the_scalar_walk(net in arb_any_network(), window in 0u64..=4) {
         let versions = with_mutants(&net);
         for other in &versions {
             for (a, b) in [(&net, other), (other, &net)] {
-                let packet = check_equiv(&NetEvaluator::new(a), &NetEvaluator::new(b), window);
+                let (left, right) = (NetEvaluator::new(a), NetEvaluator::new(b));
+                let packet = check_equiv(&left, &right, window);
                 let scalar = reference_walk(&ScalarNet(a), &ScalarNet(b), window);
-                prop_assert_eq!(packet, scalar, "{}\nvs\n{}", network_to_text(a), network_to_text(b));
+                prop_assert_eq!(
+                    packet,
+                    expected(scalar, &left, &right),
+                    "{}\nvs\n{}",
+                    network_to_text(a),
+                    network_to_text(b)
+                );
             }
+        }
+    }
+
+    /// One reference table of a network serves proof after proof: each
+    /// mutant, then the network itself, checked against the shared
+    /// table in both orientations gives exactly the live check. Refuted
+    /// mutants stop part-way and mutants with a finite constant walk the
+    /// whole domain, so later proofs extend a partly filled table.
+    #[test]
+    fn one_reference_table_serves_every_proof(net in arb_any_network(), window in 0u64..=4) {
+        let reference = Reference::new(NetEvaluator::new(&net), window);
+        let live = NetEvaluator::new(&net);
+        let mut versions = with_mutants(&net);
+        versions.rotate_left(1);
+        for other in &versions {
+            let candidate = NetEvaluator::new(other);
+            prop_assert_eq!(
+                check_equiv(&reference, &candidate, window),
+                check_equiv(&live, &candidate, window),
+                "{}", network_to_text(other)
+            );
+            prop_assert_eq!(
+                check_equiv(&candidate, &reference, window),
+                check_equiv(&candidate, &live, window),
+                "{}", network_to_text(other)
+            );
         }
     }
 

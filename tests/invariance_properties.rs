@@ -1,0 +1,136 @@
+//! Temporal invariance (§ III.C) as the gate for
+//! `Evaluator::invariant() == true`. When both sides of a bounded
+//! equivalence check report `invariant()`, `check_equiv` skips every
+//! volley whose earliest spike is at `c > 0`, so the report must be a
+//! fact: whenever an evaluator says `true`, `f(x + c) = f(x) + c` holds
+//! on every volley `x` of the window-4 domain for every shift `c` in
+//! `1..=4`, evaluated through 64-volley `eval_packet` calls.
+//!
+//! Delays of 248–254 put `lane_input_limit` inside the shifted domain,
+//! so shifts push packets from the lane path onto the scalar one. A
+//! network with a finite constant must report `false` (a concrete
+//! violation is pinned below), and the GRL and column evaluators keep
+//! the default `false` until a test here covers them.
+
+mod common;
+
+use common::arbitrary::{arb_network, arb_neuron};
+use proptest::prelude::*;
+use spacetime::core::{enumerate_inputs, FunctionTable, Time, Volley};
+use spacetime::grl::compile_network;
+use spacetime::kernel::MAX_PACKET;
+use spacetime::net::{network_to_text, GateKind, Network, NetworkBuilder};
+use spacetime::neuron::structural::srm0_network;
+use spacetime::neuron::{ResponseFn, Srm0Neuron, Synapse};
+use spacetime::tnn::{Column, Inhibition};
+use spacetime::verify::eval::{
+    ColumnEvaluator, Evaluator, GrlEvaluator, NetEvaluator, Reference, TableEvaluator,
+};
+
+/// The window whose domain every property shifts.
+const WINDOW: u64 = 4;
+
+/// Evaluates `volleys` through `eval_packet`, 64 at a time.
+fn outputs(evaluator: &dyn Evaluator, volleys: &[Volley]) -> Vec<Volley> {
+    let mut out = vec![Volley::default(); volleys.len()];
+    for (packet, slots) in volleys.chunks(MAX_PACKET).zip(out.chunks_mut(MAX_PACKET)) {
+        evaluator
+            .eval_packet(packet, slots)
+            .expect("domain volleys evaluate");
+    }
+    out
+}
+
+/// The first volley `x` of the window-4 domain and shift `c` in `1..=4`
+/// with `f(x + c) != f(x) + c`, if there is one.
+fn shift_violation(evaluator: &dyn Evaluator) -> Option<(Volley, u64)> {
+    let domain: Vec<Volley> = enumerate_inputs(evaluator.input_width(), WINDOW)
+        .map(Volley::new)
+        .collect();
+    let unshifted = outputs(evaluator, &domain);
+    (1..=WINDOW).find_map(|c| {
+        let shifted: Vec<Volley> = domain.iter().map(|x| x.shift(c)).collect();
+        let outputs = outputs(evaluator, &shifted);
+        (0..domain.len())
+            .find(|&i| outputs[i] != unshifted[i].shift(c))
+            .map(|i| (domain[i].clone(), c))
+    })
+}
+
+fn has_finite_constant(net: &Network) -> bool {
+    net.iter_gates()
+        .any(|(_, kind)| matches!(kind, GateKind::Const(t) if t.is_finite()))
+}
+
+/// Random width-1–4 networks, with and without finite constants, their
+/// delays mostly small and some close to the lane ceiling (254).
+fn arb_any_network() -> impl Strategy<Value = Network> {
+    let delays = || prop_oneof![3 => 1u64..4, 1 => 248u64..=254];
+    prop_oneof![
+        arb_network(1, delays()),
+        arb_network(2, delays()),
+        arb_network(3, delays()),
+        arb_network(4, delays()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Tables report `invariant()`, and shifts commute with them.
+    #[test]
+    fn tables_are_shift_invariant(neuron in arb_neuron()) {
+        let table = FunctionTable::from_fn(&neuron, 3).unwrap();
+        let evaluator = TableEvaluator::new(&table);
+        prop_assert!(evaluator.invariant());
+        prop_assert_eq!(shift_violation(&evaluator), None);
+    }
+
+    /// A network reports `invariant()` exactly when it has no finite
+    /// constant, and then shifts commute with it: on its kernel plan
+    /// and through a reference table of its outputs, whose shifted
+    /// volleys leave the stored domain.
+    #[test]
+    fn networks_are_invariant_exactly_without_finite_constants(net in arb_any_network()) {
+        let evaluator = NetEvaluator::new(&net);
+        prop_assert_eq!(evaluator.invariant(), !has_finite_constant(&net));
+        if evaluator.invariant() {
+            let text = network_to_text(&net);
+            prop_assert_eq!(shift_violation(&evaluator), None, "{}", text);
+            let reference = Reference::new(NetEvaluator::new(&net), WINDOW);
+            prop_assert!(reference.invariant());
+            prop_assert_eq!(shift_violation(&reference), None, "{}", text);
+        }
+    }
+}
+
+/// Why a finite constant opts out: `lt(x, 1)` passes `x = 0` through
+/// but silences `x = 0 + 1`.
+#[test]
+fn a_finite_constant_breaks_invariance() {
+    let mut b = NetworkBuilder::new();
+    let x = b.input();
+    let one = b.constant(Time::finite(1));
+    let gated = b.lt(x, one);
+    let evaluator = NetEvaluator::new(&b.build([gated]));
+    assert!(!evaluator.invariant());
+    assert_eq!(
+        shift_violation(&evaluator),
+        Some((Volley::new(vec![Time::ZERO]), 1))
+    );
+}
+
+/// The GRL simulator and the column evaluator have no invariance test
+/// yet, so they keep the default `false`.
+#[test]
+fn grl_and_column_evaluators_keep_the_default() {
+    let neuron = Srm0Neuron::new(
+        ResponseFn::step(1),
+        vec![Synapse::new(0, 2), Synapse::new(1, 2)],
+        3,
+    );
+    let netlist = compile_network(&srm0_network(&neuron));
+    assert!(!GrlEvaluator::new(&netlist).invariant());
+    let column = Column::new(vec![neuron], Inhibition::one_wta());
+    assert!(!ColumnEvaluator::new(&column).invariant());
+}

@@ -6,12 +6,12 @@
 
 mod common;
 
-use common::arbitrary::{arb_neuron, arb_volley};
+use common::arbitrary::{arb_network, arb_neuron, arb_volley};
 use proptest::prelude::*;
 use spacetime::batch::{BatchEvaluator, CompiledArtifact};
 use spacetime::core::{FunctionTable, Time, Volley};
 use spacetime::grl::compile_network;
-use spacetime::kernel::Plan;
+use spacetime::kernel::{Plan, Scratch, MAX_PACKET};
 use spacetime::metrics::MetricsRegistry;
 use spacetime::net::synth::{synthesize, SynthesisOptions};
 use spacetime::net::NetworkBuilder;
@@ -123,6 +123,32 @@ proptest! {
                     .eval(&artifact, &volleys)
                     .unwrap();
                 prop_assert_eq!(&got, &reference, "{} threads", threads);
+            }
+        }
+    }
+
+    /// One `Plan::eval_packet` call carries 1–64 lane-capable volleys —
+    /// one lane word per gate up to eight volleys, eight words past
+    /// that — and matches `Plan::eval` on each; a scratch reused from a
+    /// wider packet leaves no trace in a narrower one.
+    #[test]
+    fn wide_packets_match_the_scalar_plan(
+        network in prop_oneof![
+            arb_neuron().prop_map(|n| srm0_network(&n)),
+            arb_network(3, 1u64..4),
+        ],
+        raw_volleys in prop::collection::vec(arb_volley(3), 1..=MAX_PACKET),
+        narrower in 1usize..=MAX_PACKET,
+    ) {
+        let plan = Plan::from_network(&network);
+        let volleys = to_volleys(&raw_volleys, plan.input_count());
+        prop_assert!(plan.lane_capable(&volleys));
+        let mut scratch = Scratch::default();
+        for packet in [&volleys[..], &volleys[..narrower.min(volleys.len())]] {
+            let mut out = vec![Volley::default(); packet.len()];
+            plan.eval_packet(&mut scratch, packet, &mut out);
+            for (volley, got) in packet.iter().zip(&out) {
+                prop_assert_eq!(got.times(), &plan.eval(volley.times()).unwrap()[..]);
             }
         }
     }
