@@ -13,7 +13,12 @@
 //! significant byte), and the four primitives become branch-free
 //! **SWAR** (SIMD-within-a-register) expressions over whole words — one
 //! word carries the same input line of eight different volleys, so a
-//! fixed-function network evaluates eight volleys per pass.
+//! fixed-function network evaluates eight volleys per pass. The same
+//! bytes, laid out one per volley in a wider block, need no word tricks
+//! at all: `st-kernel`'s 256-lane byte blocks compute the primitives as
+//! plain `u8::min`, `u8::max`, a compare-select and
+//! `u8::saturating_add`, which equal [`min`], [`max`], [`lt_gate`] and
+//! [`inc`] lane for lane.
 //!
 //! Two deliberate domain edges, both handled by callers (`st-kernel`
 //! checks a per-plan bound before taking the lane path):

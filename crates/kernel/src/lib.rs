@@ -4,10 +4,12 @@
 //! race-logic netlist) is compiled **once** into a flattened
 //! [`Plan`] — topological order precomputed, struct-of-arrays gate
 //! storage, fan-ins in one contiguous arena — and volleys are then
-//! evaluated **up to 64 at a time**, each input line's spike times
-//! packed eight to a `u64`, into the word's u8 lanes (see
-//! [`st_core::lane`]). The four primitives `min`/`max`/`lt`/`inc` become
-//! a handful of branch-free SWAR instructions per lane word, and an
+//! evaluated **up to [`MAX_PACKET`] (256) at a time**, each input line's
+//! spike times packed one per u8 lane (see [`st_core::lane`]): eight to a
+//! `u64` word for the batch engine's packets of up to eight, one per byte
+//! of a [`ByteBlock`] past that. The four primitives `min`/`max`/`lt`/`inc`
+//! become a handful of branch-free SWAR instructions per word, or one
+//! plain byte op per lane that the compiler vectorizes, and an
 //! ∞-dominance early-out skips any gate whose fan-in is all-silent
 //! across the whole packet.
 //!
@@ -37,7 +39,7 @@
 //!     vec![t(0), t(2), t(3), Time::INFINITY]
 //! );
 //!
-//! // Lane path: up to 64 volleys per packet.
+//! // Lane path: up to 256 volleys per packet.
 //! let batch = vec![volley.clone(), volley];
 //! let mut out = vec![Volley::new(Vec::new()); 2];
 //! let mut scratch = Scratch::default();
@@ -51,5 +53,5 @@ pub mod graphopt;
 pub mod packet;
 pub mod plan;
 
-pub use packet::{PacketStats, Scratch, MAX_PACKET};
+pub use packet::{ByteBlock, PacketStats, Scratch, MAX_PACKET};
 pub use plan::{Op, Plan};

@@ -58,7 +58,8 @@ impl Op {
 /// values that don't fit an index (`consts`, `delays`). Build once with
 /// [`Plan::from_network`] / [`Plan::from_grl`], then evaluate many
 /// volleys with [`Plan::eval`] (scalar) or
-/// [`Plan::eval_packet`](crate::packet) (up to 64 lanes per pass).
+/// [`Plan::eval_packet`](crate::packet) (up to
+/// [`MAX_PACKET`](crate::MAX_PACKET) lanes per pass).
 #[derive(Debug, Clone)]
 pub struct Plan {
     input_count: usize,
@@ -70,7 +71,7 @@ pub struct Plan {
     delays: Vec<u64>,
     outputs: Vec<u32>,
     lane_input_limit: Option<u64>,
-    lane_consts: Vec<u64>,
+    lane_consts: Vec<u8>,
     lane_delays: Vec<u8>,
 }
 
@@ -335,7 +336,7 @@ impl Plan {
         &self.outputs
     }
 
-    pub(crate) fn lane_consts(&self) -> &[u64] {
+    pub(crate) fn lane_consts(&self) -> &[u8] {
         &self.lane_consts
     }
 
@@ -420,7 +421,7 @@ impl Builder {
             plan.lane_consts = plan
                 .consts
                 .iter()
-                .map(|&t| lane::broadcast(lane::encode(t).unwrap_or(lane::INF)))
+                .map(|&t| lane::encode(t).unwrap_or(lane::INF))
                 .collect();
             plan.lane_delays = plan
                 .delays

@@ -34,7 +34,7 @@ use st_metrics::MetricSink;
 use st_net::{network_to_text, Network};
 use st_trace::{NullTracer, SpanId, Tracer};
 use st_verify::equiv::{check_equiv_traced, check_sampled, feasible_window, EquivResult};
-use st_verify::eval::{Evaluator, NetEvaluator, Reference, TableEvaluator};
+use st_verify::eval::{ByteBlock, Evaluator, NetEvaluator, Reference, TableEvaluator};
 use st_verify::{required_window, Artifact};
 
 use crate::analyze;
@@ -343,6 +343,10 @@ impl Evaluator for NetSide<'_> {
 
     fn eval_packet(&self, volleys: &[Volley], out: &mut [Volley]) -> Result<(), (usize, String)> {
         self.evaluator().eval_packet(volleys, out)
+    }
+
+    fn eval_lanes(&self, inputs: &[ByteBlock], lanes: usize, out: &mut [ByteBlock]) -> bool {
+        self.evaluator().eval_lanes(inputs, lanes, out)
     }
 
     fn invariant(&self) -> bool {

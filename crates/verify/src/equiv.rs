@@ -15,21 +15,27 @@
 //! counterexample cannot move: shifting one whose earliest spike is at
 //! `m > 0` back by `m` would give a counterexample of smaller extent.
 //!
-//! Volleys travel in packets of up to [`MAX_PACKET`] consecutive ones
-//! ([`Evaluator::eval_packet`]), and each packet's lanes are compared
-//! in order, so every verdict and counterexample is the one a
-//! volley-at-a-time walk over the same volleys would produce.
-//! [`check_sampled`] walks a seeded sample through the same packets
-//! when a domain is too large to exhaust.
+//! Volleys travel in packets of up to [`MAX_PACKET`] consecutive ones.
+//! While every finite time of the check fits a lane byte (windows up to
+//! 254), the walk writes each volley's digits straight into one
+//! [`ByteBlock`] per input line, takes one block per output from each
+//! side ([`Evaluator::eval_lanes`]), compares the blocks as byte slices
+//! and decodes only the first differing lane. A packet that either side
+//! cannot take as lanes, and every packet of a wider window, is
+//! compared volley by volley ([`Evaluator::eval_packet`]). Either way
+//! the lanes are compared in order, so every verdict and counterexample
+//! is the one a volley-at-a-time walk over the same volleys would
+//! produce. [`check_sampled`] walks a seeded sample through the same
+//! packets when a domain is too large to exhaust.
 
 use core::fmt;
 use core::ops::Range;
 
-use st_core::{Time, Volley};
-use st_kernel::MAX_PACKET;
+use st_core::{lane, Time, Volley};
+use st_kernel::{ByteBlock, MAX_PACKET};
 use st_trace::{NullTracer, SpanId, Tracer};
 
-use crate::eval::Evaluator;
+use crate::eval::{refill, Evaluator};
 
 /// A hard ceiling on volleys per exhaustive check, guarding against
 /// accidentally enormous `(window + 2)^width` domains.
@@ -213,12 +219,11 @@ pub fn check_equiv_traced<T: Tracer>(
     let normalized = left.invariant() && right.invariant();
     // With no inputs the one volley, the empty one, has extent 0.
     let last = if width == 0 { 0 } else { window };
-    let mut packets = Packets::new(left, right);
+    let mut packets = Packets::new(left, right, window);
     let mut volleys = 0u64;
     for extent in 0..=last {
         let _span = tracer.span("verify.window", parent);
-        let mut fresh = Extent::new(width, extent, normalized);
-        match packets.walk(|out| fresh.next_into(out)) {
+        match packets.walk(&mut Extent::new(width, extent, normalized)) {
             Walk::Agreed(n) => volleys += n,
             Walk::Refuted(c) => return Ok(EquivResult::Refuted(c)),
             Walk::Failed(side, e) => return Err(format!("{side} failed: {e}")),
@@ -288,30 +293,6 @@ impl Extent {
         }
     }
 
-    /// Writes the next volley into `out`, reusing its allocation, or
-    /// returns `false` once the extent is exhausted.
-    fn next_into(&mut self, out: &mut Vec<Time>) -> bool {
-        let silent = self.extent + 1;
-        while !self.done {
-            if let Some(low) = self.lows.next() {
-                if let Some(first) = self.digits.first_mut() {
-                    *first = low;
-                }
-                out.clear();
-                out.extend(self.digits.iter().map(|&d| {
-                    if d == silent {
-                        Time::INFINITY
-                    } else {
-                        Time::finite(d)
-                    }
-                }));
-                return true;
-            }
-            self.next_row();
-        }
-        false
-    }
-
     /// Steps the row odometer, or ends the extent when it wraps.
     fn next_row(&mut self) {
         for digit in self.digits.iter_mut().skip(1) {
@@ -326,11 +307,30 @@ impl Extent {
     }
 }
 
+impl Digits for Extent {
+    fn silent(&self) -> u64 {
+        self.extent + 1
+    }
+
+    fn next_volley(&mut self) -> Option<&[u64]> {
+        while !self.done {
+            if let Some(low) = self.lows.next() {
+                if let Some(first) = self.digits.first_mut() {
+                    *first = low;
+                }
+                return Some(&self.digits);
+            }
+            self.next_row();
+        }
+        None
+    }
+}
+
 /// Compares two evaluators on `count` seeded pseudo-random volleys with
-/// entries in `{0, …, window} ∪ {∞}` — the differential fallback for a
-/// domain too large to exhaust at any window. The xorshift64* stream is
-/// seeded from the width and window, so a run is reproducible. Agreement
-/// is evidence, not a proof.
+/// entries in `{0, …, min(window, Time::MAX_FINITE)} ∪ {∞}` — the
+/// differential fallback for a domain too large to exhaust at any
+/// window. The xorshift64* stream is seeded from the width and window,
+/// so a run is reproducible. Agreement is evidence, not a proof.
 ///
 /// Returns the first disagreeing sample, or `None` when all agree.
 ///
@@ -346,25 +346,15 @@ pub fn check_sampled(
 ) -> Result<Option<Counterexample>, String> {
     check_shapes(left, right)?;
     let width = left.input_width();
-    let mut rng = SampleRng(0x5EED_0007 ^ ((width as u64) << 8) ^ window);
-    let mut drawn = 0;
-    let mut sample = |out: &mut Vec<Time>| {
-        if drawn == count {
-            return false;
-        }
-        drawn += 1;
-        out.clear();
-        out.extend((0..width).map(|_| {
-            let r = rng.next() % (window + 2);
-            if r == window + 1 {
-                Time::INFINITY
-            } else {
-                Time::finite(r)
-            }
-        }));
-        true
+    let mut sample = Sample {
+        rng: SampleRng(0x5EED_0007 ^ ((width as u64) << 8) ^ window),
+        top: Time::MAX_FINITE
+            .value()
+            .map_or(window, |max| window.min(max)),
+        remaining: count,
+        digits: vec![0; width],
     };
-    match Packets::new(left, right).walk(&mut sample) {
+    match Packets::new(left, right, window).walk(&mut sample) {
         Walk::Agreed(_) => Ok(None),
         Walk::Refuted(c) => Ok(Some(c)),
         Walk::Failed(_, e) => Err(e),
@@ -394,6 +384,33 @@ fn check_shapes(left: &dyn Evaluator, right: &dyn Evaluator) -> Result<(), Strin
     Ok(())
 }
 
+/// [`check_sampled`]'s volleys: each digit drawn from `{0, …, top}`,
+/// with `top + 1` standing for `∞`.
+struct Sample {
+    rng: SampleRng,
+    top: u64,
+    remaining: usize,
+    digits: Vec<u64>,
+}
+
+impl Digits for Sample {
+    fn silent(&self) -> u64 {
+        self.top + 1
+    }
+
+    fn next_volley(&mut self) -> Option<&[u64]> {
+        self.remaining = self.remaining.checked_sub(1)?;
+        // `top + 2` overflows only when `top + 1` is `u64::MAX`, where a
+        // raw draw already covers `{0, …, top + 1}`.
+        let modulus = self.top.checked_add(2);
+        for digit in &mut self.digits {
+            let r = self.rng.next();
+            *digit = modulus.map_or(r, |m| r % m);
+        }
+        Some(&self.digits)
+    }
+}
+
 /// A deterministic xorshift64* stream for [`check_sampled`].
 struct SampleRng(u64);
 
@@ -408,6 +425,16 @@ impl SampleRng {
     }
 }
 
+/// A stream of volleys, each as one digit per input line: a finite
+/// time, or [`Digits::silent`] for `∞`.
+trait Digits {
+    /// The digit standing for `∞`.
+    fn silent(&self) -> u64;
+
+    /// The next volley's digits, or `None` once the stream is exhausted.
+    fn next_volley(&mut self) -> Option<&[u64]>;
+}
+
 /// Where a [`Packets::walk`] ended.
 enum Walk {
     /// Every volley agreed; how many there were.
@@ -419,85 +446,168 @@ enum Walk {
 }
 
 /// The two sides of one check plus the buffers a packet moves through,
-/// reused from packet to packet.
+/// reused from packet to packet: lane blocks while every finite time of
+/// the check fits a lane byte, volleys otherwise and wherever a side
+/// cannot take a packet as lanes.
 struct Packets<'a> {
     left: &'a dyn Evaluator,
     right: &'a dyn Evaluator,
+    lanes: bool,
+    inputs: Vec<ByteBlock>,
+    left_blocks: Vec<ByteBlock>,
+    right_blocks: Vec<ByteBlock>,
     volleys: Vec<Volley>,
     left_out: Vec<Volley>,
     right_out: Vec<Volley>,
 }
 
 impl<'a> Packets<'a> {
-    fn new(left: &'a dyn Evaluator, right: &'a dyn Evaluator) -> Packets<'a> {
+    /// The buffers for a check whose finite times are all `<= window`.
+    fn new(left: &'a dyn Evaluator, right: &'a dyn Evaluator, window: u64) -> Packets<'a> {
+        let blocks = |n: usize| vec![[lane::INF; MAX_PACKET]; n];
         Packets {
             left,
             right,
+            lanes: window <= u64::from(lane::MAX_FINITE),
+            inputs: blocks(left.input_width()),
+            left_blocks: blocks(left.output_width()),
+            right_blocks: blocks(right.output_width()),
             volleys: vec![Volley::default(); MAX_PACKET],
             left_out: vec![Volley::default(); MAX_PACKET],
             right_out: vec![Volley::default(); MAX_PACKET],
         }
     }
 
-    /// Walks the volleys `next` writes, until it returns `false`, in
-    /// packets of up to [`MAX_PACKET`] consecutive volleys, and stops
-    /// where a volley-at-a-time walk would: at the first volley on which
-    /// the left side fails, the right side fails, or the two disagree,
-    /// checked in that order.
-    fn walk(&mut self, mut next: impl FnMut(&mut Vec<Time>) -> bool) -> Walk {
+    /// Walks the volleys of `source` in packets of up to [`MAX_PACKET`]
+    /// consecutive volleys, and stops where a volley-at-a-time walk
+    /// would: at the first volley on which the left side fails, the
+    /// right side fails, or the two disagree, checked in that order.
+    fn walk(&mut self, source: &mut impl Digits) -> Walk {
+        let silent = source.silent();
         let mut agreed = 0;
         loop {
             let mut n = 0;
             while n < MAX_PACKET {
-                let mut times = Vec::from(std::mem::take(&mut self.volleys[n]));
-                let more = next(&mut times);
-                self.volleys[n] = Volley::new(times);
-                if !more {
+                let Some(digits) = source.next_volley() else {
                     break;
+                };
+                if self.lanes {
+                    // Finite digits are at most the window, below 255.
+                    for (block, &d) in self.inputs.iter_mut().zip(digits) {
+                        block[n] = if d == silent { lane::INF } else { d as u8 };
+                    }
+                } else {
+                    refill(
+                        &mut self.volleys[n],
+                        digits.iter().map(|&d| {
+                            if d == silent {
+                                Time::INFINITY
+                            } else {
+                                Time::finite(d)
+                            }
+                        }),
+                    );
                 }
                 n += 1;
             }
             if n == 0 {
                 return Walk::Agreed(agreed);
             }
-            let volleys = &self.volleys[..n];
-            let left_failed = self
-                .left
-                .eval_packet(volleys, &mut self.left_out[..n])
-                .err();
-            let right_failed = self
-                .right
-                .eval_packet(volleys, &mut self.right_out[..n])
-                .err();
-            // Lanes before either failure hold valid outputs on both sides.
-            let left_stop = left_failed.as_ref().map_or(n, |(at, _)| *at);
-            let right_stop = right_failed.as_ref().map_or(n, |(at, _)| *at);
-            let compared = left_stop.min(right_stop);
-            for (lane, volley) in volleys.iter().enumerate().take(compared) {
-                let l = self.left_out[lane].times();
-                let r = self.right_out[lane].times();
-                if let Some(output) = (0..l.len()).find(|&i| l[i] != r[i]) {
-                    return Walk::Refuted(Counterexample {
-                        left: self.left.name().to_owned(),
-                        right: self.right.name().to_owned(),
-                        inputs: volley.times().to_vec(),
-                        left_outputs: l.to_vec(),
-                        right_outputs: r.to_vec(),
-                        output,
-                    });
+            if self.lanes
+                && self.left.eval_lanes(&self.inputs, n, &mut self.left_blocks)
+                && self
+                    .right
+                    .eval_lanes(&self.inputs, n, &mut self.right_blocks)
+            {
+                if let Some(lane) = self.first_differing_lane(n) {
+                    return Walk::Refuted(self.lane_counterexample(lane));
+                }
+                agreed += n as u64;
+                continue;
+            }
+            if self.lanes {
+                for (j, slot) in self.volleys.iter_mut().enumerate().take(n) {
+                    refill(slot, lane_times(&self.inputs, j));
                 }
             }
-            // When both sides fail on one volley, the left side's failure
-            // is the one a volley-at-a-time walk meets first.
-            match (left_failed, right_failed) {
-                (Some((_, e)), _) if left_stop <= right_stop => {
-                    return Walk::Failed(self.left.name(), e);
-                }
-                (_, Some((_, e))) => return Walk::Failed(self.right.name(), e),
-                _ => agreed += n as u64,
+            match self.compare_volleys(n) {
+                Some(end) => return end,
+                None => agreed += n as u64,
             }
         }
     }
+
+    /// The first of the packet's `n` lanes on which some output block
+    /// differs between the sides.
+    fn first_differing_lane(&self, n: usize) -> Option<usize> {
+        self.left_blocks
+            .iter()
+            .zip(&self.right_blocks)
+            .filter(|(l, r)| l[..n] != r[..n])
+            .filter_map(|(l, r)| l[..n].iter().zip(&r[..n]).position(|(a, b)| a != b))
+            .min()
+    }
+
+    /// The counterexample of the packet's lane `lane`, decoded from the
+    /// blocks.
+    fn lane_counterexample(&self, lane: usize) -> Counterexample {
+        let left_outputs: Vec<Time> = lane_times(&self.left_blocks, lane).collect();
+        let right_outputs: Vec<Time> = lane_times(&self.right_blocks, lane).collect();
+        Counterexample {
+            left: self.left.name().to_owned(),
+            right: self.right.name().to_owned(),
+            inputs: lane_times(&self.inputs, lane).collect(),
+            output: (0..left_outputs.len())
+                .find(|&i| left_outputs[i] != right_outputs[i])
+                .unwrap_or_default(),
+            left_outputs,
+            right_outputs,
+        }
+    }
+
+    /// Compares the packet's first `n` volleys one by one. Returns where
+    /// the walk ends, or `None` when all agree.
+    fn compare_volleys(&mut self, n: usize) -> Option<Walk> {
+        let volleys = &self.volleys[..n];
+        let left_failed = self
+            .left
+            .eval_packet(volleys, &mut self.left_out[..n])
+            .err();
+        let right_failed = self
+            .right
+            .eval_packet(volleys, &mut self.right_out[..n])
+            .err();
+        // Lanes before either failure hold valid outputs on both sides.
+        let left_stop = left_failed.as_ref().map_or(n, |(at, _)| *at);
+        let right_stop = right_failed.as_ref().map_or(n, |(at, _)| *at);
+        let compared = left_stop.min(right_stop);
+        for (lane, volley) in volleys.iter().enumerate().take(compared) {
+            let l = self.left_out[lane].times();
+            let r = self.right_out[lane].times();
+            if let Some(output) = (0..l.len()).find(|&i| l[i] != r[i]) {
+                return Some(Walk::Refuted(Counterexample {
+                    left: self.left.name().to_owned(),
+                    right: self.right.name().to_owned(),
+                    inputs: volley.times().to_vec(),
+                    left_outputs: l.to_vec(),
+                    right_outputs: r.to_vec(),
+                    output,
+                }));
+            }
+        }
+        // When both sides fail on one volley, the left side's failure
+        // is the one a volley-at-a-time walk meets first.
+        match (left_failed, right_failed) {
+            (Some((_, e)), _) if left_stop <= right_stop => Some(Walk::Failed(self.left.name(), e)),
+            (_, Some((_, e))) => Some(Walk::Failed(self.right.name(), e)),
+            _ => None,
+        }
+    }
+}
+
+/// Lane `lane` of every block, decoded: one volley's times.
+fn lane_times(blocks: &[ByteBlock], lane: usize) -> impl Iterator<Item = Time> + '_ {
+    blocks.iter().map(move |block| lane::decode(block[lane]))
 }
 
 #[cfg(test)]
@@ -506,7 +616,7 @@ mod tests {
     use crate::eval::{Evaluator, NetEvaluator, TableEvaluator};
     use st_core::FunctionTable;
     use st_kernel::{Plan, Scratch};
-    use st_net::NetworkBuilder;
+    use st_net::{GateId, NetworkBuilder};
 
     fn t(v: u64) -> Time {
         Time::finite(v)
@@ -688,6 +798,108 @@ mod tests {
         // Through extent 3 the two agree.
         let proof = check_equiv(&l, &r, 3).unwrap();
         assert_eq!(proof.proof().map(|p| p.volleys), Some(5));
+    }
+
+    /// `window + 2` overflows at the two largest windows. The sample
+    /// still draws over `{0, …, Time::MAX_FINITE} ∪ {∞}`: it neither
+    /// divides by zero at `u64::MAX − 1` nor collapses onto the
+    /// all-silent volley at `u64::MAX`, where `min` and `max` of 22
+    /// inputs agree.
+    #[test]
+    fn sampled_checks_draw_over_the_largest_windows() {
+        let wide = |max: bool| {
+            let mut b = NetworkBuilder::new();
+            let inputs = b.inputs(22);
+            let gate = if max { b.max(inputs) } else { b.min(inputs) }.unwrap();
+            NetEvaluator::new(&b.build([gate]))
+        };
+        let (min, max) = (wide(false), wide(true));
+        for window in [4, u64::MAX - 1, u64::MAX] {
+            let cex = check_sampled(&min, &max, window, 4096).unwrap();
+            assert!(cex.is_some(), "window {window}");
+            assert_eq!(check_sampled(&min, &min, window, 4096), Ok(None));
+        }
+    }
+
+    /// A network evaluator that takes no packet as lanes, so every packet
+    /// is compared volley by volley.
+    struct VolleyPath(NetEvaluator);
+
+    impl Evaluator for VolleyPath {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn input_width(&self) -> usize {
+            self.0.input_width()
+        }
+
+        fn output_width(&self) -> usize {
+            self.0.output_width()
+        }
+
+        fn eval(&self, inputs: &[Time]) -> Result<Vec<Time>, String> {
+            self.0.eval(inputs)
+        }
+    }
+
+    /// `[x1, x0]` against `[min(x1, 4), min(x0, 4)]`, both gated on
+    /// `x2 = 4 ∧ x3 = 3`: output 1 differs exactly when `x0 = ∞` under
+    /// the gate, output 0 when `x1 = ∞`. At window 4 every mismatch sits
+    /// in extent 4. The first, `[∞ 0 4 3]` on output 1, is lane 66 of the
+    /// extent's second 256-volley block, output 1 differs again at lane
+    /// 72, and output 0 first differs at lane 91. The block comparison
+    /// takes the earliest lane over all outputs and decodes it, as the
+    /// volley path does.
+    #[test]
+    fn a_counterexample_deep_in_a_second_block_is_the_first_lane() {
+        let mut b = NetworkBuilder::new();
+        let x = b.inputs(4);
+        let identity = b.build([x[1], x[0]]);
+        let mut b = NetworkBuilder::new();
+        let x = b.inputs(4);
+        let mut equals = |line: GateId, k: u64| {
+            let (above, below) = (b.constant(t(k + 1)), b.constant(t(k - 1)));
+            let early = b.lt(line, above);
+            let late = b.lt(below, line);
+            b.max2(early, late)
+        };
+        let (x3_is_3, x2_is_4) = (equals(x[3], 3), equals(x[2], 4));
+        let gate = b.max2(x3_is_3, x2_is_4);
+        let (gated1, gated0) = (b.min2(x[1], gate), b.min2(x[0], gate));
+        let gated = b.build([gated1, gated0]);
+
+        let silent = Time::INFINITY;
+        let (mut output0, mut output1) = (Vec::new(), Vec::new());
+        let mut extent = Extent::new(4, 4, false);
+        let mut at = 0;
+        while let Some(digits) = extent.next_volley() {
+            if digits[2] == 4 && digits[3] == 3 {
+                if digits[0] == 5 {
+                    output1.push(at);
+                }
+                if digits[1] == 5 {
+                    output0.push(at);
+                }
+            }
+            at += 1;
+        }
+        assert_eq!(output1[..2], [MAX_PACKET + 66, MAX_PACKET + 72]);
+        assert_eq!(output0[0], MAX_PACKET + 91);
+
+        let (left, right) = (NetEvaluator::new(&identity), NetEvaluator::new(&gated));
+        let result = check_equiv(&left, &right, 4).unwrap();
+        let cex = result.counterexample().expect("∞ is not 4");
+        assert_eq!(cex.inputs, vec![silent, t(0), t(4), t(3)]);
+        assert_eq!(cex.left_outputs, vec![t(0), silent]);
+        assert_eq!(cex.right_outputs, vec![t(0), t(4)]);
+        assert_eq!(cex.output, 1);
+        let volley_path = check_equiv(
+            &VolleyPath(NetEvaluator::new(&identity)),
+            &VolleyPath(NetEvaluator::new(&gated)),
+            4,
+        );
+        assert_eq!(Ok(result), volley_path);
     }
 
     #[test]

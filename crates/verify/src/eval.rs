@@ -6,14 +6,16 @@
 //! [`Network`], [`GrlNetlist`], and [`Column`] — the same `Evaluator`
 //! face, so any pair can be checked against any other.
 //!
-//! The checker hands volleys over in packets of up to [`MAX_PACKET`].
+//! The checker hands volleys over in packets of up to [`MAX_PACKET`],
+//! as lane blocks ([`Evaluator::eval_lanes`]) where every time fits a
+//! lane byte and as volleys ([`Evaluator::eval_packet`]) otherwise.
 //! Tables, GRL simulation and columns are the reference semantics being
-//! checked against, so they take the default
-//! [`Evaluator::eval_packet`] (one [`Evaluator::eval`] per volley); a
-//! network runs on its flattened `st-kernel` plan, a whole packet per
-//! SWAR pass wherever the lanes cannot saturate. A [`Reference`] stores
-//! one side's outputs over a window's domain, so many proofs against
-//! that side evaluate it once.
+//! checked against, so they take no packet as lanes and evaluate one
+//! volley at a time ([`Evaluator::eval`]); a network runs on its
+//! flattened `st-kernel` plan, a whole packet per pass wherever the
+//! lanes cannot saturate. A [`Reference`] stores one side's outputs over
+//! a window's domain, so many proofs against that side evaluate it
+//! once.
 
 use std::cell::RefCell;
 
@@ -22,6 +24,9 @@ use st_grl::{GrlNetlist, GrlSim};
 use st_kernel::{Plan, Scratch, MAX_PACKET};
 use st_net::{GateKind, Network};
 use st_tnn::Column;
+
+/// The lane block [`Evaluator::eval_lanes`] reads and writes.
+pub use st_kernel::ByteBlock;
 
 /// A multi-output spike-time function evaluated one volley — or one
 /// packet of volleys — at a time.
@@ -59,6 +64,22 @@ pub trait Evaluator {
         eval_each(volleys, out, |inputs| self.eval(inputs))
     }
 
+    /// Evaluates a lane-packed packet of `lanes` volleys, at most
+    /// [`MAX_PACKET`]: byte `j` of `inputs[line]` is volley `j`'s
+    /// [`lane`]-encoded time on `line`, and output `k` of volley `j` goes
+    /// to byte `j` of `out[k]`, exactly encoded. Bytes past `lanes` may
+    /// hold anything, in `inputs` and `out` alike.
+    ///
+    /// Returns `false`, leaving `out` unspecified, when this evaluator
+    /// cannot take the packet as lanes — for instance because an output
+    /// could leave the lane domain; the caller then evaluates it through
+    /// [`Evaluator::eval_packet`]. Lane evaluation never fails. The
+    /// default takes no packet as lanes.
+    fn eval_lanes(&self, inputs: &[ByteBlock], lanes: usize, out: &mut [ByteBlock]) -> bool {
+        let _ = (inputs, lanes, out);
+        false
+    }
+
     /// Whether the function commutes with time shifts, `f(x + c) =
     /// f(x) + c` for every volley `x` and `c ≥ 0` (§ III.C), so that a
     /// proof may skip every volley that is a shifted copy of another.
@@ -83,7 +104,7 @@ fn eval_each(
 }
 
 /// Overwrites `slot` with `times`, reusing its allocation.
-fn refill(slot: &mut Volley, times: impl Iterator<Item = Time>) {
+pub(crate) fn refill(slot: &mut Volley, times: impl Iterator<Item = Time>) {
     let mut buffer = Vec::from(std::mem::take(slot));
     buffer.clear();
     buffer.extend(times);
@@ -147,8 +168,8 @@ impl Evaluator for TableEvaluator<'_> {
 
 /// [`Network`] as an evaluator, running on the network's flattened
 /// [`Plan`]: packets whose finite inputs all lie within
-/// [`Plan::lane_input_limit`] take the lane path
-/// ([`Plan::eval_packet`], the whole packet per pass), every other
+/// [`Plan::lane_input_limit`] take the lane path ([`Plan::eval_blocks`]
+/// or [`Plan::eval_packet`], the whole packet per pass), every other
 /// volley the scalar [`Plan::eval`] — both bit-identical to
 /// [`Network::eval`].
 #[derive(Debug, Clone)]
@@ -206,6 +227,23 @@ impl Evaluator for NetEvaluator {
         } else {
             eval_each(volleys, out, |inputs| self.eval(inputs))
         }
+    }
+
+    fn eval_lanes(&self, inputs: &[ByteBlock], lanes: usize, out: &mut [ByteBlock]) -> bool {
+        let Some(limit) = self.plan.lane_input_limit() else {
+            return false;
+        };
+        let fits = |&byte: &u8| byte == lane::INF || u64::from(byte) <= limit;
+        let capable = inputs.len() == self.plan.input_count()
+            && out.len() == self.plan.output_width()
+            && inputs
+                .iter()
+                .all(|block| block.iter().take(lanes).all(fits));
+        if capable {
+            self.plan
+                .eval_blocks(&mut self.scratch.borrow_mut(), inputs, out);
+        }
+        capable
     }
 
     fn invariant(&self) -> bool {
@@ -298,7 +336,10 @@ pub const MAX_REFERENCE_BYTES: usize = 64 << 20;
 /// proof against it reads them instead of evaluating again. Outputs
 /// are stored lane-packed, one [`lane`] byte per output line per volley,
 /// at the volley's position in [`st_core::enumerate_inputs`] order, and
-/// the store is allocated on first use.
+/// the store is allocated on first use. Lane packets
+/// ([`Evaluator::eval_lanes`]) are read from and stored into it byte
+/// for byte; a lane packet with an unstored volley is taken as lanes
+/// only when the wrapped evaluator takes it.
 ///
 /// A volley outside the domain, or one with an output past
 /// [`lane::MAX_FINITE`], is evaluated live every time; so is every
@@ -356,15 +397,19 @@ impl<E: Evaluator> Reference<E> {
         }
     }
 
-    /// The volley's position in the domain, or `None` outside it.
-    fn position(&self, times: &[Time]) -> Option<usize> {
-        if times.len() != self.inner.input_width() {
+    /// The position in the domain of the volley whose times are
+    /// `values` (line 0 first, `None` for `∞`), or `None` outside it.
+    fn position<I>(&self, values: I) -> Option<usize>
+    where
+        I: DoubleEndedIterator<Item = Option<u64>> + ExactSizeIterator,
+    {
+        if values.len() != self.inner.input_width() {
             return None;
         }
         let base = self.window + 2;
         // Within a domain that fits the cap, no position overflows.
-        let at = times.iter().rev().try_fold(0, |at, t| {
-            let digit = match t.value() {
+        let at = values.rev().try_fold(0, |at, value| {
+            let digit = match value {
                 None => self.window + 1,
                 Some(v) if v <= self.window => v,
                 Some(_) => return None,
@@ -372,6 +417,18 @@ impl<E: Evaluator> Reference<E> {
             Some(at * base + digit)
         })?;
         usize::try_from(at).ok()
+    }
+
+    /// The table, allocated on first use, or `None` when every
+    /// evaluation is live.
+    fn table(&self) -> Option<std::cell::RefMut<'_, Table>> {
+        let mut table = self.table.borrow_mut();
+        let domain = table.volleys?;
+        if table.stored.is_empty() {
+            table.bytes = vec![0; domain * self.inner.output_width()];
+            table.stored = vec![false; domain];
+        }
+        Some(table)
     }
 }
 
@@ -395,15 +452,10 @@ impl<E: Evaluator> Evaluator for Reference<E> {
     /// Reads the packet from the table when every volley in it is
     /// stored; otherwise evaluates it live and stores what it can.
     fn eval_packet(&self, volleys: &[Volley], out: &mut [Volley]) -> Result<(), (usize, String)> {
-        let mut table = self.table.borrow_mut();
-        let Some(domain) = table.volleys else {
+        let Some(mut table) = self.table() else {
             return self.inner.eval_packet(volleys, out);
         };
         let width = self.inner.output_width();
-        if table.stored.is_empty() {
-            table.bytes = vec![0; domain * width];
-            table.stored = vec![false; domain];
-        }
         let Table {
             bytes,
             stored,
@@ -411,7 +463,11 @@ impl<E: Evaluator> Evaluator for Reference<E> {
             ..
         } = &mut *table;
         positions.clear();
-        positions.extend(volleys.iter().map(|v| self.position(v.times())));
+        positions.extend(
+            volleys
+                .iter()
+                .map(|v| self.position(v.times().iter().map(|t| t.value()))),
+        );
         if positions.iter().all(|at| at.is_some_and(|at| stored[at])) {
             for (at, slot) in positions.iter().flatten().zip(out) {
                 let row = &bytes[at * width..(at + 1) * width];
@@ -436,6 +492,50 @@ impl<E: Evaluator> Evaluator for Reference<E> {
             stored[at] |= encoded;
         }
         result
+    }
+
+    fn eval_lanes(&self, inputs: &[ByteBlock], lanes: usize, out: &mut [ByteBlock]) -> bool {
+        let Some(mut table) = self.table() else {
+            return self.inner.eval_lanes(inputs, lanes, out);
+        };
+        let width = self.inner.output_width();
+        let Table {
+            bytes,
+            stored,
+            positions,
+            ..
+        } = &mut *table;
+        positions.clear();
+        positions.extend((0..lanes).map(|j| {
+            self.position(inputs.iter().map(|block| {
+                let byte = block[j];
+                (byte != lane::INF).then_some(u64::from(byte))
+            }))
+        }));
+        let all_stored =
+            out.len() == width && positions.iter().all(|at| at.is_some_and(|at| stored[at]));
+        if all_stored {
+            for (j, &at) in positions.iter().flatten().enumerate() {
+                for (block, &byte) in out.iter_mut().zip(&bytes[at * width..(at + 1) * width]) {
+                    block[j] = byte;
+                }
+            }
+            return true;
+        }
+        if !self.inner.eval_lanes(inputs, lanes, out) {
+            return false;
+        }
+        for (j, at) in positions.iter().enumerate() {
+            let Some(at) = *at else { continue };
+            for (byte, block) in bytes[at * width..(at + 1) * width]
+                .iter_mut()
+                .zip(out.iter())
+            {
+                *byte = block[j];
+            }
+            stored[at] = true;
+        }
+        true
     }
 
     fn invariant(&self) -> bool {
@@ -482,6 +582,14 @@ mod tests {
         ) -> Result<(), (usize, String)> {
             self.evaluated.set(self.evaluated.get() + volleys.len());
             self.inner.eval_packet(volleys, out)
+        }
+
+        fn eval_lanes(&self, inputs: &[ByteBlock], lanes: usize, out: &mut [ByteBlock]) -> bool {
+            let taken = self.inner.eval_lanes(inputs, lanes, out);
+            if taken {
+                self.evaluated.set(self.evaluated.get() + lanes);
+            }
+            taken
         }
 
         fn invariant(&self) -> bool {

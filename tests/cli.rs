@@ -1205,6 +1205,28 @@ fn verify_at_the_largest_window_exits_two_with_domain_too_large() {
 }
 
 #[test]
+fn opt_samples_a_wide_network_at_the_second_largest_window() {
+    // Width 22 needs 2^22 > 4M volleys even at window 0, so each proof
+    // falls back to the seeded sample, whose `window + 2` overflows here.
+    let mut text: String = (0..22).map(|i| format!("g{i} = input\n")).collect();
+    text.push_str("g22 = const inf\ng23 = min");
+    for i in 0..=22 {
+        text.push_str(&format!(" g{i}"));
+    }
+    text.push_str("\noutputs g23\n");
+    let net = TempFile::with_content("wide22.net", &text);
+    let out = bin()
+        .args(["opt", net.to_str(), "--window", "18446744073709551614"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("accepted (sampled, 4096 volleys)"),
+        "{out:?}"
+    );
+}
+
+#[test]
 fn lint_relational_tier_is_opt_in_per_witness() {
     // Each committed STA3xx witness is clean under the default tier and
     // earns exactly its documented finding under --relational — and the

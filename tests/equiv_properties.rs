@@ -1,6 +1,7 @@
 //! Packet ≡ scalar differential battery for the bounded equivalence
 //! checker. `check_equiv` walks the normalized domain in packets of up
-//! to 64 volleys, runs `net` sides on their kernel plans, and skips the
+//! to 256 volleys, compared as lane blocks where both sides take them,
+//! runs `net` sides on their kernel plans, and skips the
 //! shifted copies when both sides are shift-invariant; on random
 //! networks, on every single-gate mutant of them, and with evaluators
 //! that fail on one volley, it must return exactly what a
@@ -12,10 +13,12 @@
 //! proof, must give exactly what live evaluation gives.
 //!
 //! Widths 1–4 make most extents' volley counts non-multiples of the
-//! packet size, so the last packet of an extent is usually partial.
-//! Delays near the lane ceiling put `lane_input_limit` inside the
-//! window, so one check mixes lane and scalar packets, and mutants'
-//! `inc` bumps move the limit between the two sides.
+//! packet size, so the last packet of an extent is usually partial;
+//! width 5, including the corpus's compiled 2-neuron SRM0 column, makes
+//! the window-4 extents span up to 19 packets of 256 volleys. Delays
+//! near the lane ceiling put `lane_input_limit` inside the window, so
+//! one check mixes lane and scalar packets, and mutants' `inc` bumps
+//! move the limit between the two sides.
 
 mod common;
 
@@ -24,6 +27,7 @@ use proptest::prelude::*;
 use spacetime::core::{enumerate_inputs, Time, Volley};
 use spacetime::net::{network_to_text, parse_network, Network};
 use spacetime::neuron::structural::srm0_network;
+use spacetime::tnn::train::{fresh_column, TrainConfig};
 use spacetime::verify::equiv::{check_equiv, Counterexample, EquivProof, EquivResult};
 use spacetime::verify::eval::{Evaluator, NetEvaluator, Reference};
 use spacetime::verify::mutate::net_mutants;
@@ -203,6 +207,62 @@ fn with_mutants(net: &Network) -> Vec<Network> {
             .map(|m| parse_network(&m.text).expect("mutants stay parseable")),
     );
     all
+}
+
+/// Checks every pair of `net` and one of `others`, in both
+/// orientations, against the scalar walk over the whole domain.
+fn assert_matches_the_scalar_walk(net: &Network, others: &[Network], window: u64) {
+    for other in others {
+        for (a, b) in [(net, other), (other, net)] {
+            let (left, right) = (NetEvaluator::new(a), NetEvaluator::new(b));
+            assert_eq!(
+                check_equiv(&left, &right, window),
+                expected(
+                    reference_walk(&ScalarNet(a), &ScalarNet(b), window),
+                    &left,
+                    &right
+                ),
+                "{}\nvs\n{}",
+                network_to_text(a),
+                network_to_text(b)
+            );
+        }
+    }
+}
+
+/// The corpus's 2-neuron SRM0 + 1-WTA column over five inputs (weight
+/// seed 7, threshold a quarter of the largest potential), lowered to
+/// gates: about 2 000 of them, whose window-4 extents span up to 19
+/// packets. It proves equal to itself over the whole domain and, like
+/// the scalar walk, tells itself apart from the same column at a higher
+/// threshold.
+#[test]
+fn a_compiled_column_matches_the_scalar_walk_across_many_packets() {
+    let column = |threshold: f64| {
+        let config = TrainConfig {
+            seed: 7,
+            ..TrainConfig::default()
+        };
+        fresh_column(2, 5, threshold, &config).to_network()
+    };
+    let (quarter, higher) = (column(0.25), column(0.3));
+    let (left, right) = (NetEvaluator::new(&quarter), NetEvaluator::new(&quarter));
+    let proof = check_equiv(&left, &right, 4);
+    let oracle = reference_walk(&ScalarNet(&quarter), &ScalarNet(&quarter), 4);
+    assert_eq!(proof, expected(oracle, &left, &right));
+    assert_matches_the_scalar_walk(&quarter, &[higher], 4);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Random width-5 networks against every single-gate mutant.
+    #[test]
+    fn width_five_extents_match_the_scalar_walk(
+        net in arb_network(5, prop_oneof![3 => 1u64..4, 1 => 248u64..=254]),
+    ) {
+        assert_matches_the_scalar_walk(&net, &with_mutants(&net), 4);
+    }
 }
 
 proptest! {

@@ -1,10 +1,22 @@
-//! Temporal invariance (§ III.C) as the gate for
-//! `Evaluator::invariant() == true`. When both sides of a bounded
-//! equivalence check report `invariant()`, `check_equiv` skips every
-//! volley whose earliest spike is at `c > 0`, so the report must be a
-//! fact: whenever an evaluator says `true`, `f(x + c) = f(x) + c` holds
-//! on every volley `x` of the window-4 domain for every shift `c` in
-//! `1..=4`, evaluated through 64-volley `eval_packet` calls.
+//! The § III.C properties of every space-time function, as metamorphic
+//! tests of the `Evaluator`s that proofs run on.
+//!
+//! Temporal invariance is the gate for `Evaluator::invariant() ==
+//! true`. When both sides of a bounded equivalence check report
+//! `invariant()`, `check_equiv` skips every volley whose earliest spike
+//! is at `c > 0`, so the report must be a fact: whenever an evaluator
+//! says `true`, `f(x + c) = f(x) + c` holds on every volley `x` of the
+//! window-4 domain for every shift `c` in `1..=4`, evaluated through
+//! 256-volley `eval_packet` calls.
+//!
+//! Causality holds for every table and network, with or without finite
+//! constants, and for a reference table over a network: moving the
+//! input spikes later than an output's spike at `t` to other times
+//! later than `t`, or to `∞`, leaves that output at `t`. The moved
+//! volleys are evaluated in full 256-volley packets, through
+//! `eval_lanes` where the evaluator takes them and `eval_packet`
+//! otherwise, so the byte walk, the lane path and the volley path all
+//! run.
 //!
 //! Delays of 248–254 put `lane_input_limit` inside the shifted domain,
 //! so shifts push packets from the lane path onto the scalar one. A
@@ -16,9 +28,9 @@ mod common;
 
 use common::arbitrary::{arb_network, arb_neuron};
 use proptest::prelude::*;
-use spacetime::core::{enumerate_inputs, FunctionTable, Time, Volley};
+use spacetime::core::{enumerate_inputs, lane, FunctionTable, Time, Volley};
 use spacetime::grl::compile_network;
-use spacetime::kernel::MAX_PACKET;
+use spacetime::kernel::{ByteBlock, MAX_PACKET};
 use spacetime::net::{network_to_text, GateKind, Network, NetworkBuilder};
 use spacetime::neuron::structural::srm0_network;
 use spacetime::neuron::{ResponseFn, Srm0Neuron, Synapse};
@@ -30,7 +42,7 @@ use spacetime::verify::eval::{
 /// The window whose domain every property shifts.
 const WINDOW: u64 = 4;
 
-/// Evaluates `volleys` through `eval_packet`, 64 at a time.
+/// Evaluates `volleys` through `eval_packet`, 256 at a time.
 fn outputs(evaluator: &dyn Evaluator, volleys: &[Volley]) -> Vec<Volley> {
     let mut out = vec![Volley::default(); volleys.len()];
     for (packet, slots) in volleys.chunks(MAX_PACKET).zip(out.chunks_mut(MAX_PACKET)) {
@@ -55,6 +67,79 @@ fn shift_violation(evaluator: &dyn Evaluator) -> Option<(Volley, u64)> {
             .find(|&i| outputs[i] != unshifted[i].shift(c))
             .map(|i| (domain[i].clone(), c))
     })
+}
+
+/// Evaluates `volleys` 256 at a time, each packet through `eval_lanes`
+/// when all of its times fit a lane byte and the evaluator takes it as
+/// lanes, through `eval_packet` otherwise.
+fn lane_outputs(evaluator: &dyn Evaluator, volleys: &[Volley]) -> Vec<Volley> {
+    let mut out = outputs(evaluator, volleys);
+    let mut inputs: Vec<ByteBlock> = vec![[lane::INF; MAX_PACKET]; evaluator.input_width()];
+    let mut blocks: Vec<ByteBlock> = vec![[lane::INF; MAX_PACKET]; evaluator.output_width()];
+    for (packet, slots) in volleys.chunks(MAX_PACKET).zip(out.chunks_mut(MAX_PACKET)) {
+        let encoded = packet.iter().enumerate().all(|(j, volley)| {
+            inputs
+                .iter_mut()
+                .zip(volley.times())
+                .all(|(block, &t)| lane::encode(t).map(|byte| block[j] = byte).is_some())
+        });
+        if encoded && evaluator.eval_lanes(&inputs, packet.len(), &mut blocks) {
+            for (j, slot) in slots.iter_mut().enumerate() {
+                *slot = Volley::new(blocks.iter().map(|block| lane::decode(block[j])).collect());
+            }
+        }
+    }
+    out
+}
+
+/// Where each input spike later than `t` moves, given `t` and the spike.
+const LATE_MOVES: [fn(u64, u64) -> Time; 4] = [
+    |_, _| Time::INFINITY,
+    |t, _| Time::finite(t + 1),
+    |_, spike| Time::finite(spike + 1),
+    // Past every lane: the volley path.
+    |_, spike| Time::finite(spike + 300),
+];
+
+/// The first volley `x` of the window-4 domain, output `k` spiking at
+/// `t` and moved volley `x'` with `f(x')[k] != t`, where `x'` moves every
+/// input spike of `x` later than `t` by one of [`LATE_MOVES`].
+fn causality_violation(evaluator: &dyn Evaluator) -> Option<(Volley, usize, Volley)> {
+    let domain: Vec<Volley> = enumerate_inputs(evaluator.input_width(), WINDOW)
+        .map(Volley::new)
+        .collect();
+    let original = outputs(evaluator, &domain);
+    // Grouped by move, so the lane-sized moves fill whole packets.
+    let mut cases = Vec::new();
+    for late in LATE_MOVES {
+        for (x, fx) in domain.iter().zip(&original) {
+            for (k, t) in fx.times().iter().enumerate() {
+                let Some(t) = t.value() else { continue };
+                let moved: Vec<Time> = x
+                    .times()
+                    .iter()
+                    .map(|&xi| match xi.value() {
+                        Some(spike) if spike > t => late(t, spike),
+                        _ => xi,
+                    })
+                    .collect();
+                if moved != x.times() {
+                    cases.push((x, k, fx.times()[k], Volley::new(moved)));
+                }
+            }
+        }
+    }
+    let moved: Vec<Volley> = cases.iter().map(|case| case.3.clone()).collect();
+    for got in [outputs(evaluator, &moved), lane_outputs(evaluator, &moved)] {
+        let broken = cases
+            .iter()
+            .zip(&got)
+            .find(|((_, k, t, _), y)| y.times()[*k] != *t);
+        if let Some(((x, k, _, x2), _)) = broken {
+            return Some(((*x).clone(), *k, x2.clone()));
+        }
+    }
+    None
 }
 
 fn has_finite_constant(net: &Network) -> bool {
@@ -101,6 +186,27 @@ proptest! {
             prop_assert!(reference.invariant());
             prop_assert_eq!(shift_violation(&reference), None, "{}", text);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Tables are causal.
+    #[test]
+    fn tables_are_causal(neuron in arb_neuron()) {
+        let table = FunctionTable::from_fn(&neuron, 3).unwrap();
+        prop_assert_eq!(causality_violation(&TableEvaluator::new(&table)), None);
+    }
+
+    /// Networks are causal, with or without finite constants, on their
+    /// kernel plans and through a reference table of their outputs.
+    #[test]
+    fn networks_are_causal(net in arb_any_network()) {
+        let text = network_to_text(&net);
+        prop_assert_eq!(causality_violation(&NetEvaluator::new(&net)), None, "{}", text);
+        let reference = Reference::new(NetEvaluator::new(&net), WINDOW);
+        prop_assert_eq!(causality_violation(&reference), None, "{}", text);
     }
 }
 

@@ -9,10 +9,11 @@ mod common;
 use common::arbitrary::{arb_network, arb_neuron, arb_volley};
 use proptest::prelude::*;
 use spacetime::batch::{BatchEvaluator, CompiledArtifact};
-use spacetime::core::{FunctionTable, Time, Volley};
+use spacetime::core::{lane, FunctionTable, Time, Volley};
 use spacetime::grl::compile_network;
-use spacetime::kernel::{Plan, Scratch, MAX_PACKET};
+use spacetime::kernel::{ByteBlock, Plan, Scratch, MAX_PACKET};
 use spacetime::metrics::MetricsRegistry;
+use spacetime::net::sorting::sorting_network;
 use spacetime::net::synth::{synthesize, SynthesisOptions};
 use spacetime::net::NetworkBuilder;
 use spacetime::neuron::structural::srm0_network;
@@ -127,10 +128,10 @@ proptest! {
         }
     }
 
-    /// One `Plan::eval_packet` call carries 1–64 lane-capable volleys —
-    /// one lane word per gate up to eight volleys, eight words past
-    /// that — and matches `Plan::eval` on each; a scratch reused from a
-    /// wider packet leaves no trace in a narrower one.
+    /// One `Plan::eval_packet` call carries 1–256 lane-capable volleys —
+    /// one `u64` lane word per gate up to eight volleys, one 256-byte
+    /// block past that — and matches `Plan::eval` on each; a scratch
+    /// reused from a wider packet leaves no trace in a narrower one.
     #[test]
     fn wide_packets_match_the_scalar_plan(
         network in prop_oneof![
@@ -150,6 +151,47 @@ proptest! {
             for (volley, got) in packet.iter().zip(&out) {
                 prop_assert_eq!(got.times(), &plan.eval(volley.times()).unwrap()[..]);
             }
+        }
+    }
+
+    /// `Plan::eval_blocks` takes a packet already lane-packed and matches
+    /// `Plan::eval` on each of its 1–256 lanes, whatever bytes the lanes
+    /// past the packet's end hold (lanes never mix), with a scratch
+    /// first used by a larger plan.
+    #[test]
+    fn pre_packed_blocks_match_the_scalar_plan(
+        network in prop_oneof![
+            arb_neuron().prop_map(|n| srm0_network(&n)),
+            arb_network(3, 1u64..4),
+        ],
+        raw_volleys in prop::collection::vec(arb_volley(3), 1..=MAX_PACKET),
+        junk in 1u64..u64::MAX,
+    ) {
+        let plan = Plan::from_network(&network);
+        let volleys = to_volleys(&raw_volleys, plan.input_count());
+        prop_assert!(plan.lane_capable(&volleys));
+        let mut state = junk;
+        let mut inputs: Vec<ByteBlock> = (0..plan.input_count())
+            .map(|_| std::array::from_fn(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            }))
+            .collect();
+        for (j, volley) in volleys.iter().enumerate() {
+            for (block, &t) in inputs.iter_mut().zip(volley.times()) {
+                block[j] = lane::encode(t).unwrap();
+            }
+        }
+        let mut scratch = Scratch::default();
+        let larger = Plan::from_network(&sorting_network(16));
+        larger.eval_blocks(&mut scratch, &[[0; MAX_PACKET]; 16], &mut [[0; MAX_PACKET]; 16]);
+        let mut outputs = vec![[0; MAX_PACKET]; plan.output_width()];
+        plan.eval_blocks(&mut scratch, &inputs, &mut outputs);
+        for (j, volley) in volleys.iter().enumerate() {
+            let lanes: Vec<Time> = outputs.iter().map(|block| lane::decode(block[j])).collect();
+            prop_assert_eq!(lanes, plan.eval(volley.times()).unwrap(), "lane {}", j);
         }
     }
 
