@@ -50,9 +50,10 @@ pub struct LintOptions {
     /// disable this to avoid duplicate findings.
     pub check_basis: bool,
     /// Whether to run the relational (zone/DBM) temporal-safety tier
-    /// (STA301–STA304). Off by default: the closure is cubic in graph
-    /// size, and the findings are advisory rather than structural. The
-    /// CLI enables it with `spacetime lint --relational`.
+    /// (STA301–STA304). Off by default: the findings are advisory
+    /// rather than structural, and graphs past
+    /// [`MAX_RELATIONAL_NODES`](crate::MAX_RELATIONAL_NODES) skip it.
+    /// The CLI enables it with `spacetime lint --relational`.
     pub relational: bool,
 }
 

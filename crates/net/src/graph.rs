@@ -60,7 +60,7 @@ pub enum GateKind {
     Inc(u64),
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Gate {
     pub(crate) kind: GateKind,
     pub(crate) sources: Vec<GateId>,
@@ -89,7 +89,14 @@ pub(crate) struct Gate {
 /// assert_eq!(out, vec![Time::finite(1)]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
+///
+/// Two networks are equal when they have the same gates in the same
+/// order, the same input count and the same output lines. That is
+/// exactly when their netlist texts ([`crate::network_to_text`]) are
+/// equal, for every network a [`NetworkBuilder`] builds: the text omits
+/// only an input gate's line number, and the builder numbers input
+/// lines in creation order.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Network {
     gates: Vec<Gate>,
     input_count: usize,

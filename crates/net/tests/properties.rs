@@ -136,7 +136,8 @@ proptest! {
         prop_assert_eq!(again.gates_after, again.gates_before);
     }
 
-    /// The netlist text format round-trips arbitrary compiled networks.
+    /// The netlist text format round-trips arbitrary compiled networks:
+    /// print∘parse is the identity on texts and on networks alike.
     #[test]
     fn netlist_text_round_trip(e in arb_expr_with_consts(3)) {
         let net = compile_exprs(&[e], 3);
@@ -144,6 +145,7 @@ proptest! {
         let back = st_net::parse_network(&text)
             .map_err(|err| TestCaseError::fail(format!("{err}\n{text}")))?;
         prop_assert_eq!(st_net::network_to_text(&back), text);
+        prop_assert_eq!(&back, &net);
         for inputs in enumerate_inputs(3, 2) {
             prop_assert_eq!(back.eval(&inputs).unwrap(), net.eval(&inputs).unwrap());
         }

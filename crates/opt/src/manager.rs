@@ -31,7 +31,7 @@ use std::time::Instant;
 use st_core::{FunctionTable, Time, Volley};
 use st_lint::{Code, Diagnostic, Location, Report, Severity};
 use st_metrics::MetricSink;
-use st_net::{network_to_text, Network};
+use st_net::Network;
 use st_trace::{NullTracer, SpanId, Tracer};
 use st_verify::equiv::{check_equiv_traced, check_sampled, feasible_window, EquivResult};
 use st_verify::eval::{ByteBlock, Evaluator, NetEvaluator, Reference, TableEvaluator};
@@ -404,7 +404,6 @@ pub fn optimize_network_traced<T: Tracer>(
 
     let mut report = analyze::analyze_network(network);
     let mut current = network.clone();
-    let mut current_text = network_to_text(&current);
     // Stored over the window the proofs exhaust; a run that can only
     // sample has a domain too large to store, and evaluates it live.
     let reference = Reference::new(
@@ -427,8 +426,7 @@ pub fn optimize_network_traced<T: Tracer>(
             // nothing.
             Pass::MinimizeTable => current.clone(),
         };
-        let candidate_text = network_to_text(&candidate);
-        let (verdict, after) = if candidate_text == current_text {
+        let (verdict, after) = if candidate == current {
             (Verdict::Unchanged, before)
         } else {
             let v = gate(&reference, &NetSide::new(&candidate), window, tracer, span);
@@ -443,10 +441,7 @@ pub fn optimize_network_traced<T: Tracer>(
         match &verdict {
             Verdict::Rejected(why) => report.push(rejection_diagnostic(pass, why)),
             Verdict::Unchanged => {}
-            _ => {
-                current = candidate;
-                current_text = candidate_text;
-            }
+            _ => current = candidate,
         }
         records.push(PassRecord {
             pass,

@@ -171,25 +171,21 @@ pub fn constant_fold(network: &Network) -> Network {
 #[must_use]
 pub fn relational_fold(network: &Network) -> Network {
     let mut current = network.clone();
-    let mut current_text = st_net::network_to_text(&current);
-    loop {
-        let next = relational_fold_step(&current);
-        let next_text = st_net::network_to_text(&next);
-        if next_text == current_text {
-            return current;
+    while let Some(next) = relational_fold_step(&current) {
+        if next == current {
+            break;
         }
         current = next;
-        current_text = next_text;
     }
+    current
 }
 
-fn relational_fold_step(network: &Network) -> Network {
+/// One fold step, or `None` when the graph declines relational analysis
+/// (oversized or degenerate): then the pass proposes nothing and the
+/// manager records "no change".
+fn relational_fold_step(network: &Network) -> Option<Network> {
     let graph = st_net::lint::to_lint_graph(network);
-    // Oversized or degenerate graphs decline relational analysis; the
-    // pass proposes nothing and the manager records "no change".
-    let Some(zone) = Zone::analyze(&graph, Interval::free()) else {
-        return network.clone();
-    };
+    let zone = Zone::analyze(&graph, Interval::free())?;
     // `s` contributes nothing to a min (resp. max) when some other
     // source `r` dominates it; ties keep the earliest operand.
     let dominated = |idxs: &[usize], i: usize, max_gate: bool| {
@@ -254,7 +250,7 @@ fn relational_fold_step(network: &Network) -> Network {
         };
         r.map(id, new);
     }
-    r.finish(network)
+    Some(r.finish(network))
 }
 
 /// Dead-gate elimination through the backward liveness domain: gates

@@ -9,7 +9,7 @@ mod common;
 use common::arbitrary::{arb_network, arb_neuron};
 use proptest::prelude::*;
 use spacetime::core::FunctionTable;
-use spacetime::net::{network_to_text, Network};
+use spacetime::net::Network;
 use spacetime::opt::{optimize_network, passes, OptOptions, Pass, ALL_PASSES};
 use spacetime::verify::equiv::{check_equiv, EquivResult};
 use spacetime::verify::eval::{NetEvaluator, TableEvaluator};
@@ -51,12 +51,7 @@ proptest! {
             }
             let once = apply(pass, &net);
             let twice = apply(pass, &once);
-            prop_assert_eq!(
-                network_to_text(&once),
-                network_to_text(&twice),
-                "{} is not idempotent",
-                pass.name()
-            );
+            prop_assert_eq!(&once, &twice, "{} is not idempotent", pass.name());
             assert_net_equiv(&net, &once)?;
         }
     }
