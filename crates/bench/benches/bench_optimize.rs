@@ -1,12 +1,12 @@
-//! E17 timing axis: the optimizer and the expression simplifier on
-//! mechanically generated inputs of growing size.
+//! E17 timing axis: the verified optimizer and the expression simplifier
+//! on mechanically generated inputs of growing size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use st_core::{simplify, Expr, FunctionTable, Time};
-use st_net::optimize::optimize;
 use st_net::synth::{synthesize, SynthesisOptions};
+use st_opt::{optimize_network, OptOptions};
 use std::hint::black_box;
 
 fn random_table(arity: usize, rows: usize, window: u64, seed: u64) -> FunctionTable {
@@ -55,7 +55,7 @@ fn bench_optimize(c: &mut Criterion) {
         let table = random_table(4, rows, 6, rows as u64);
         let net = synthesize(&table, SynthesisOptions::pure());
         group.bench_with_input(BenchmarkId::new("optimize", rows), &rows, |b, _| {
-            b.iter(|| optimize(black_box(&net)));
+            b.iter(|| optimize_network(black_box(&net), &OptOptions::default()));
         });
     }
     group.finish();

@@ -3,6 +3,7 @@
 
 use st_bench::{banner, print_table};
 use st_core::{ops, verify_space_time, Time};
+use st_metrics::NullMetrics;
 use st_net::{EventSim, NetworkBuilder};
 
 fn t(v: u64) -> Time {
@@ -98,7 +99,9 @@ fn main() {
         let mut recorder = st_obs::Recorder::new();
         for (index, inputs) in cases.iter().enumerate() {
             recorder.begin_volley(index);
-            compiled.run_probed(inputs, &mut recorder).unwrap();
+            compiled
+                .run_instrumented(inputs, &mut recorder, &mut NullMetrics)
+                .unwrap();
         }
         st_bench::write_trace(&trace_path, recorder.events());
     }

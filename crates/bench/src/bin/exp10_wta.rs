@@ -3,6 +3,7 @@
 
 use st_bench::{banner, print_table};
 use st_core::{Time, Volley};
+use st_metrics::NullMetrics;
 use st_net::wta::{k_wta_network, wta_network};
 
 fn t(v: u64) -> Time {
@@ -65,7 +66,7 @@ fn main() {
         for (index, tau) in (1..=4u64).enumerate() {
             recorder.begin_volley(index);
             sim.compile(&wta_network(5, tau))
-                .run_probed(&volley, &mut recorder)
+                .run_instrumented(&volley, &mut recorder, &mut NullMetrics)
                 .unwrap();
         }
         st_bench::write_trace(&trace_path, recorder.events());

@@ -7,8 +7,9 @@ use st_bench::{banner, f3, print_table};
 use st_core::Time;
 use st_grl::{
     binary_baseline_transitions, compile_network, estimate_energy, measure_energy, EnergyModel,
-    GrlSim,
+    GrlScratch, GrlSim,
 };
+use st_metrics::NullMetrics;
 use st_net::gate_counts;
 use st_neuron::structural::srm0_network;
 use st_neuron::{ResponseFn, Srm0Neuron, Synapse};
@@ -175,7 +176,14 @@ fn main() {
         .enumerate()
         {
             recorder.begin_volley(index);
-            sim.run_probed(&netlist, inputs, &mut recorder).unwrap();
+            sim.run_instrumented(
+                &netlist,
+                inputs,
+                &mut GrlScratch::default(),
+                &mut recorder,
+                &mut NullMetrics,
+            )
+            .unwrap();
         }
         st_bench::write_trace(&trace_path, recorder.events());
     }

@@ -3,6 +3,7 @@
 //! pattern-selective, and trained neurons fire *early* on their pattern.
 
 use st_bench::{banner, f3, print_table};
+use st_metrics::NullMetrics;
 use st_tnn::data::PatternDataset;
 use st_tnn::stdp::StdpParams;
 use st_tnn::train::{evaluate_column, fresh_column, train_column, TrainConfig};
@@ -68,7 +69,13 @@ fn main() {
         // Traced variant of the same run: WTA decisions and STDP weight
         // deltas per presentation (bit-identical to the untraced training).
         let mut recorder = st_obs::Recorder::new();
-        st_tnn::train::train_column_probed(&mut col, &stream, &config, &mut recorder);
+        st_tnn::train::train_column_instrumented(
+            &mut col,
+            &stream,
+            &config,
+            &mut recorder,
+            &mut NullMetrics,
+        );
         st_bench::write_trace(&trace_path, recorder.events());
     } else {
         train_column(&mut col, &stream, &config);

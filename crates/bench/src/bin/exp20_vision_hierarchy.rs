@@ -3,6 +3,7 @@
 //! trained purely by local STDP on latency-encoded oriented-bar images.
 
 use st_bench::{banner, f3, print_table};
+use st_metrics::NullMetrics;
 use st_tnn::images::{Orientation, OrientedBarDataset};
 use st_tnn::metrics::Assignment;
 use st_tnn::patch::PatchLayer;
@@ -121,7 +122,7 @@ fn main() {
         let mut recorder = st_obs::Recorder::new();
         for (index, s) in ds.stream(8).iter().enumerate() {
             recorder.begin_volley(index);
-            layer2.eval_probed(&layer1.eval(&s.volley), &mut recorder);
+            layer2.eval_instrumented(&layer1.eval(&s.volley), &mut recorder, &mut NullMetrics);
         }
         st_bench::write_trace(&trace_path, recorder.events());
     }

@@ -6,11 +6,14 @@
 
 use st_bench::{banner, f3, print_table};
 use st_core::Time;
-use st_grl::{compile_network, estimate_energy, EnergyModel, GrlBuilder, GrlNetlist, GrlSim};
+use st_grl::{
+    compile_network, estimate_energy, EnergyModel, GrlBuilder, GrlNetlist, GrlScratch, GrlSim,
+};
 use st_metrics::MetricsRegistry;
 use st_net::sorting::sorting_network;
 use st_neuron::structural::srm0_network;
 use st_neuron::{ResponseFn, Srm0Neuron, Synapse};
+use st_obs::NullProbe;
 
 fn t(v: u64) -> Time {
     Time::finite(v)
@@ -75,7 +78,15 @@ fn main() {
     for (name, netlist) in &circuits {
         for (load, inputs) in workloads(netlist.input_count()) {
             let mut registry = MetricsRegistry::new();
-            let report = sim.run_metered(netlist, &inputs, &mut registry).unwrap();
+            let report = sim
+                .run_instrumented(
+                    netlist,
+                    &inputs,
+                    &mut GrlScratch::default(),
+                    &mut NullProbe,
+                    &mut registry,
+                )
+                .unwrap();
 
             // The live counters must agree exactly with the offline report.
             let counter = |key: &'static str| registry.counter(key);

@@ -55,5 +55,5 @@ pub use energy::{
 pub use netlist::{GrlBuilder, GrlGate, GrlNetlist, WireId};
 pub use physical::{divergence_rate, run_physical, PhysicalReport, PhysicalTiming};
 pub use shortest_path::WeightedDag;
-pub use sim::{GrlReport, GrlSim};
+pub use sim::{GrlReport, GrlScratch, GrlSim};
 pub use vcd::{to_vcd, try_to_vcd};

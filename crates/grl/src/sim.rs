@@ -56,9 +56,11 @@ impl GrlReport {
     }
 }
 
-/// Reusable per-run wire state, so batched runs allocate once.
+/// Reusable per-run wire state, so batched runs allocate once. Pass
+/// `&mut GrlScratch::default()` to [`GrlSim::run_instrumented`] for a
+/// one-off run.
 #[derive(Debug, Default)]
-struct GrlScratch {
+pub struct GrlScratch {
     level: Vec<bool>,
     prev_level: Vec<bool>,
     blocked: Vec<bool>,
@@ -97,61 +99,11 @@ impl GrlSim {
     /// Returns [`CoreError::ArityMismatch`] if `inputs.len()` differs from
     /// the netlist's input count.
     pub fn run(&self, netlist: &GrlNetlist, inputs: &[Time]) -> Result<GrlReport, CoreError> {
-        self.run_with_scratch(
+        self.run_instrumented(
             netlist,
             inputs,
             &mut GrlScratch::default(),
             &mut NullProbe,
-            &mut NullMetrics,
-        )
-    }
-
-    /// [`GrlSim::run`] with a metric sink: accumulates the `grl.*`
-    /// counters — simulated cycles, wire transitions (the paper's § VI
-    /// energy proxy), reset transitions, and latch captures. With
-    /// [`NullMetrics`] this compiles to exactly [`GrlSim::run`]; results
-    /// are identical for any sink.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::ArityMismatch`] if `inputs.len()` differs from
-    /// the netlist's input count.
-    pub fn run_metered<M: MetricSink>(
-        &self,
-        netlist: &GrlNetlist,
-        inputs: &[Time],
-        sink: &mut M,
-    ) -> Result<GrlReport, CoreError> {
-        self.run_with_scratch(
-            netlist,
-            inputs,
-            &mut GrlScratch::default(),
-            &mut NullProbe,
-            sink,
-        )
-    }
-
-    /// [`GrlSim::run`] with an observability probe: every wire fall is
-    /// reported as an [`ObsEvent::WireFell`] (in cycle order) and every
-    /// `lt` latch capture as an [`ObsEvent::LatchBlocked`]. With
-    /// [`NullProbe`] this compiles to exactly [`GrlSim::run`]; results
-    /// are identical for any probe.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::ArityMismatch`] if `inputs.len()` differs from
-    /// the netlist's input count.
-    pub fn run_probed<P: Probe>(
-        &self,
-        netlist: &GrlNetlist,
-        inputs: &[Time],
-        probe: &mut P,
-    ) -> Result<GrlReport, CoreError> {
-        self.run_with_scratch(
-            netlist,
-            inputs,
-            &mut GrlScratch::default(),
-            probe,
             &mut NullMetrics,
         )
     }
@@ -173,7 +125,7 @@ impl GrlSim {
         volleys
             .iter()
             .map(|v| {
-                self.run_with_scratch(
+                self.run_instrumented(
                     netlist,
                     v.times(),
                     &mut scratch,
@@ -184,7 +136,21 @@ impl GrlSim {
             .collect()
     }
 
-    fn run_with_scratch<P: Probe, M: MetricSink>(
+    /// [`GrlSim::run`] with reusable scratch state, a probe and a metric
+    /// sink: every wire fall is reported as an [`ObsEvent::WireFell`] (in
+    /// cycle order) and every `lt` latch capture as an
+    /// [`ObsEvent::LatchBlocked`], and the sink accumulates the `grl.*`
+    /// counters — simulated cycles, wire transitions (the paper's § VI
+    /// energy proxy), reset transitions, and latch captures. With
+    /// [`NullProbe`] and [`NullMetrics`] this compiles to exactly
+    /// [`GrlSim::run`]; results are identical for any instruments and
+    /// any scratch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::ArityMismatch`] if `inputs.len()` differs from
+    /// the netlist's input count.
+    pub fn run_instrumented<P: Probe, M: MetricSink>(
         &self,
         netlist: &GrlNetlist,
         inputs: &[Time],
@@ -435,7 +401,15 @@ mod tests {
         let sim = GrlSim::new();
         // b falls first: latch captures, two wires fall.
         let mut recorder = Recorder::new();
-        let probed = sim.run_probed(&net, &[t(5), t(1)], &mut recorder).unwrap();
+        let probed = sim
+            .run_instrumented(
+                &net,
+                &[t(5), t(1)],
+                &mut GrlScratch::default(),
+                &mut recorder,
+                &mut NullMetrics,
+            )
+            .unwrap();
         assert_eq!(probed, sim.run(&net, &[t(5), t(1)]).unwrap());
         let falls: Vec<(usize, Time)> = recorder
             .events()
@@ -475,7 +449,15 @@ mod tests {
         let sim = GrlSim::new();
         // b falls first: latch captures, two wires fall.
         let mut sink = MetricsRegistry::new();
-        let metered = sim.run_metered(&net, &[t(5), t(1)], &mut sink).unwrap();
+        let metered = sim
+            .run_instrumented(
+                &net,
+                &[t(5), t(1)],
+                &mut GrlScratch::default(),
+                &mut NullProbe,
+                &mut sink,
+            )
+            .unwrap();
         let plain = sim.run(&net, &[t(5), t(1)]).unwrap();
         assert_eq!(metered, plain);
         assert_eq!(sink.counter("grl.runs"), 1);
@@ -490,7 +472,15 @@ mod tests {
         );
         assert_eq!(sink.counter("grl.latch_captures"), 1);
         // Counters accumulate across runs into the same sink.
-        let _ = sim.run_metered(&net, &[t(5), t(1)], &mut sink).unwrap();
+        let _ = sim
+            .run_instrumented(
+                &net,
+                &[t(5), t(1)],
+                &mut GrlScratch::default(),
+                &mut NullProbe,
+                &mut sink,
+            )
+            .unwrap();
         assert_eq!(sink.counter("grl.runs"), 2);
         assert_eq!(
             sink.counter("grl.wire_transitions"),

@@ -232,42 +232,13 @@ impl Plan {
         self.eval_instrumented(inputs, &mut st_obs::NullProbe, &mut st_metrics::NullMetrics)
     }
 
-    /// [`Plan::eval`] with a metric sink: counts `kernel.volleys` and
-    /// `kernel.gates` (scalar gate evaluations). Results are identical
-    /// for any sink.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::ArityMismatch`] if `inputs` has the wrong
-    /// width.
-    pub fn eval_metered<M: MetricSink>(
-        &self,
-        inputs: &[Time],
-        sink: &mut M,
-    ) -> Result<Vec<Time>, CoreError> {
-        self.eval_instrumented(inputs, &mut st_obs::NullProbe, sink)
-    }
-
-    /// [`Plan::eval`] with a probe: emits one [`ObsEvent::GateFired`]
-    /// per gate whose value is finite, in plan order — the same
-    /// vocabulary as the event simulator, so exporters need no new
-    /// cases. Results are identical for any probe.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::ArityMismatch`] if `inputs` has the wrong
-    /// width.
-    pub fn eval_probed<P: Probe>(
-        &self,
-        inputs: &[Time],
-        probe: &mut P,
-    ) -> Result<Vec<Time>, CoreError> {
-        self.eval_instrumented(inputs, probe, &mut st_metrics::NullMetrics)
-    }
-
-    /// The instrumented scalar evaluator behind [`Plan::eval`],
-    /// [`Plan::eval_probed`], and [`Plan::eval_metered`]. With null
-    /// instruments this is exactly [`Plan::eval`].
+    /// [`Plan::eval`] with a probe and a metric sink: the probe gets one
+    /// [`ObsEvent::GateFired`] per gate whose value is finite, in plan
+    /// order — the same vocabulary as the event simulator, so exporters
+    /// need no new cases — and the sink counts `kernel.volleys` and
+    /// `kernel.gates` (scalar gate evaluations). With null instruments
+    /// this is exactly [`Plan::eval`]; results are identical for any
+    /// instruments.
     ///
     /// # Errors
     ///

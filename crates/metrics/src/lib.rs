@@ -2,12 +2,13 @@
 //! report schema for the space-time computing workspace.
 //!
 //! Where `st-obs` answers *what happened* (event streams, rasters,
-//! traces), this crate answers *how much and how fast*: every engine
-//! exposes `*_metered` entry points generic over [`MetricSink`] that
-//! accumulate named monotonic counters (gate evaluations, event-queue
-//! traffic, GRL wire transitions — the ISCA 2018 paper's energy proxy —
-//! SRM0 potential updates, STDP weight deltas) and fixed-bucket
-//! [`Histogram`]s (queue depth, per-volley/per-chunk wall clocks).
+//! traces), this crate answers *how much and how fast*: every engine's
+//! instrumented entry point (`run_instrumented`, `eval_instrumented`, …)
+//! is generic over a [`MetricSink`] that accumulates named monotonic
+//! counters (gate evaluations, event-queue traffic, GRL wire transitions
+//! — the ISCA 2018 paper's energy proxy — SRM0 potential updates, STDP
+//! weight deltas) and fixed-bucket [`Histogram`]s (queue depth,
+//! per-volley/per-chunk wall clocks).
 //!
 //! The design requirements, in order:
 //!
@@ -15,7 +16,7 @@
 //!    methods are `#[inline(always)]` constants; monomorphized engine
 //!    code with a dead sink is bit- and speed-identical to the
 //!    pre-metrics code (the workspace property suite pins bit-equality).
-//! 2. **Deterministic under parallelism.** Batch workers aggregate into
+//! 2. **Deterministic under parallelism.** Batch chunks aggregate into
 //!    private [`MetricsRegistry`] instances; the calling thread
 //!    [`absorb`](MetricSink::absorb)s them in worker order after join.
 //!    Histogram [`merge`](Histogram::merge) is associative and

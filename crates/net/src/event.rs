@@ -177,47 +177,16 @@ impl CompiledNetwork {
     /// Returns [`CoreError::ArityMismatch`] if `inputs.len()` differs from
     /// the network's input count.
     pub fn run(&self, inputs: &[Time]) -> Result<EventReport, CoreError> {
-        self.run_probed(inputs, &mut NullProbe)
+        self.run_instrumented(inputs, &mut NullProbe, &mut NullMetrics)
     }
 
-    /// [`CompiledNetwork::run`] with an observability probe: every gate
-    /// firing (inputs and constants included) is reported as an
-    /// [`ObsEvent::GateFired`]. With [`NullProbe`] this compiles to
-    /// exactly [`CompiledNetwork::run`]; results are identical for any
-    /// probe.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::ArityMismatch`] if `inputs.len()` differs from
-    /// the network's input count.
-    pub fn run_probed<P: Probe>(
-        &self,
-        inputs: &[Time],
-        probe: &mut P,
-    ) -> Result<EventReport, CoreError> {
-        self.run_instrumented(inputs, probe, &mut NullMetrics)
-    }
-
-    /// [`CompiledNetwork::run`] with a metric sink: accumulates the
-    /// `net.*` counters (gate evaluations, firings, queue pushes/pops)
-    /// and the `net.queue_peak_depth` histogram. With [`NullMetrics`]
-    /// this compiles to exactly [`CompiledNetwork::run`]; results are
-    /// identical for any sink.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::ArityMismatch`] if `inputs.len()` differs from
-    /// the network's input count.
-    pub fn run_metered<M: MetricSink>(
-        &self,
-        inputs: &[Time],
-        sink: &mut M,
-    ) -> Result<EventReport, CoreError> {
-        self.run_instrumented(inputs, &mut NullProbe, sink)
-    }
-
-    /// The fully instrumented evaluator behind [`CompiledNetwork::run`],
-    /// [`CompiledNetwork::run_probed`], and [`CompiledNetwork::run_metered`].
+    /// [`CompiledNetwork::run`] with a probe and a metric sink: every
+    /// gate firing (inputs and constants included) is reported as an
+    /// [`ObsEvent::GateFired`], and the sink accumulates the `net.*`
+    /// counters (gate evaluations, firings, queue pushes/pops) and the
+    /// `net.queue_peak_depth` histogram. With [`NullProbe`] and
+    /// [`NullMetrics`] this compiles to exactly [`CompiledNetwork::run`];
+    /// results are identical for any instruments.
     ///
     /// # Errors
     ///
@@ -528,7 +497,9 @@ mod tests {
         let compiled = EventSim::new().compile(&net);
         for inputs in st_core::enumerate_inputs(3, 3) {
             let mut recorder = Recorder::new();
-            let probed = compiled.run_probed(&inputs, &mut recorder).unwrap();
+            let probed = compiled
+                .run_instrumented(&inputs, &mut recorder, &mut NullMetrics)
+                .unwrap();
             let plain = compiled.run(&inputs).unwrap();
             assert_eq!(probed, plain, "at {inputs:?}");
             // One GateFired event per firing, times matching the report.
@@ -543,7 +514,7 @@ mod tests {
         // Ops are labelled by kind.
         let mut recorder = Recorder::new();
         let _ = compiled
-            .run_probed(&[t(0), t(3), t(2)], &mut recorder)
+            .run_instrumented(&[t(0), t(3), t(2)], &mut recorder, &mut NullMetrics)
             .unwrap();
         let ops: Vec<&str> = recorder
             .events()
@@ -564,7 +535,9 @@ mod tests {
         let mut sink = MetricsRegistry::new();
         let mut runs = 0u64;
         for inputs in st_core::enumerate_inputs(3, 3) {
-            let metered = compiled.run_metered(&inputs, &mut sink).unwrap();
+            let metered = compiled
+                .run_instrumented(&inputs, &mut NullProbe, &mut sink)
+                .unwrap();
             assert_eq!(metered, compiled.run(&inputs).unwrap(), "at {inputs:?}");
             runs += 1;
         }
@@ -580,13 +553,17 @@ mod tests {
         // A single all-finite volley: 3 seeds + 3 internal firings, and
         // every push is eventually popped.
         let mut one = MetricsRegistry::new();
-        let report = compiled.run_metered(&[t(0), t(3), t(2)], &mut one).unwrap();
+        let report = compiled
+            .run_instrumented(&[t(0), t(3), t(2)], &mut NullProbe, &mut one)
+            .unwrap();
         assert_eq!(report.total_events, 6);
         assert_eq!(one.counter("net.gate_firings"), 6);
         assert_eq!(one.counter("net.runs"), 1);
         // The sink never influences results even when pre-populated.
         one.incr("net.gate_firings", 1000);
-        let again = compiled.run_metered(&[t(0), t(3), t(2)], &mut one).unwrap();
+        let again = compiled
+            .run_instrumented(&[t(0), t(3), t(2)], &mut NullProbe, &mut one)
+            .unwrap();
         assert_eq!(again, report);
     }
 

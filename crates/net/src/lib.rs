@@ -13,7 +13,6 @@
 //! * [`wta`] — winner-take-all lateral inhibition (1-, τ-, and k-WTA);
 //! * [`microweight`] — the configuration mechanism for programmable
 //!   (synapse-like) networks;
-//! * [`mod@optimize`] — constant folding, CSE, and dead-gate elimination;
 //! * [`compile`] — compilation between [`st_core::Expr`] and networks;
 //! * [`text`] — a human-editable netlist file format.
 //!
@@ -42,7 +41,6 @@ pub mod event;
 pub mod graph;
 pub mod lint;
 pub mod microweight;
-pub mod optimize;
 pub mod sorting;
 pub mod synth;
 pub mod text;
@@ -53,6 +51,5 @@ pub use error::NetError;
 pub use event::{CompiledNetwork, EventReport, EventSim};
 pub use graph::{GateId, GateKind, Network, NetworkBuilder, NetworkFunction};
 pub use microweight::{micro_weight_into, MicroWeight, WeightedFanout};
-pub use optimize::{optimize, OptimizeReport};
 pub use synth::{synthesize, SynthesisOptions};
 pub use text::{network_to_text, parse_network, ParseNetworkError};

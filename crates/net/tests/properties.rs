@@ -116,26 +116,6 @@ proptest! {
         }
     }
 
-    /// The optimizer is semantics-preserving and never grows networks,
-    /// on arbitrary compiled compositions (with constants, so folding,
-    /// CSE, and dead-code paths all fire).
-    #[test]
-    fn optimize_preserves_semantics(e in arb_expr_with_consts(3)) {
-        let net = compile_exprs(&[e], 3);
-        let (opt, report) = st_net::optimize(&net);
-        prop_assert!(report.gates_after <= report.gates_before);
-        for inputs in enumerate_inputs(3, 3) {
-            prop_assert_eq!(
-                opt.eval(&inputs).unwrap(),
-                net.eval(&inputs).unwrap(),
-                "at {:?}", inputs
-            );
-        }
-        // Idempotence: a second pass finds nothing more.
-        let (_, again) = st_net::optimize(&opt);
-        prop_assert_eq!(again.gates_after, again.gates_before);
-    }
-
     /// The netlist text format round-trips arbitrary compiled networks:
     /// print∘parse is the identity on texts and on networks alike.
     #[test]

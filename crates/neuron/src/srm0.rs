@@ -215,29 +215,18 @@ impl Srm0Neuron {
     /// threshold, or `∞` if it never does.
     #[must_use]
     pub fn eval(&self, inputs: &[Time]) -> Time {
-        self.eval_probed(inputs, 0, &mut NullProbe)
+        self.eval_instrumented(inputs, 0, &mut NullProbe, &mut NullMetrics)
     }
 
-    /// [`Srm0Neuron::eval`] with observability: records the body potential
-    /// at every distinct step tick ([`ObsEvent::Potential`]) and the output
-    /// spike, if any ([`ObsEvent::NeuronSpike`]). `neuron` is the index the
-    /// caller wants events attributed to (a lone neuron does not know its
-    /// position in a column). With a [`NullProbe`] this compiles to the
-    /// plain evaluation loop.
-    pub fn eval_probed<P: Probe>(&self, inputs: &[Time], neuron: usize, probe: &mut P) -> Time {
-        self.eval_instrumented(inputs, neuron, probe, &mut NullMetrics)
-    }
-
-    /// [`Srm0Neuron::eval`] with a metric sink: accumulates the `srm0.*`
-    /// counters — step events generated, body-potential updates (distinct
-    /// ticks swept), and output spikes. With [`NullMetrics`] this compiles
-    /// to exactly [`Srm0Neuron::eval`]; results are identical for any sink.
-    pub fn eval_metered<M: MetricSink>(&self, inputs: &[Time], sink: &mut M) -> Time {
-        self.eval_instrumented(inputs, 0, &mut NullProbe, sink)
-    }
-
-    /// The fully instrumented evaluator behind [`Srm0Neuron::eval`],
-    /// [`Srm0Neuron::eval_probed`], and [`Srm0Neuron::eval_metered`].
+    /// [`Srm0Neuron::eval`] with a probe and a metric sink: the probe
+    /// gets the body potential at every distinct step tick
+    /// ([`ObsEvent::Potential`]) and the output spike, if any
+    /// ([`ObsEvent::NeuronSpike`]), attributed to `neuron` (a lone neuron
+    /// does not know its position in a column); the sink accumulates the
+    /// `srm0.*` counters — step events generated, body-potential updates
+    /// (distinct ticks swept), and output spikes. With [`NullProbe`] and
+    /// [`NullMetrics`] this compiles to the plain evaluation loop;
+    /// results are identical for any instruments.
     pub fn eval_instrumented<P: Probe, M: MetricSink>(
         &self,
         inputs: &[Time],
@@ -529,7 +518,7 @@ mod tests {
         use st_obs::Recorder;
         let n = fig11_neuron(&[1], 4);
         let mut recorder = Recorder::new();
-        let out = n.eval_probed(&[t(0)], 7, &mut recorder);
+        let out = n.eval_instrumented(&[t(0)], 7, &mut recorder, &mut NullMetrics);
         assert_eq!(out, n.eval(&[t(0)]));
         // The potential trajectory matches potential_at at each tick, and
         // the spike lands at the returned time, attributed to neuron 7.
@@ -556,7 +545,10 @@ mod tests {
         // A silent run records potentials but no spike.
         let quiet = fig11_neuron(&[1], 6);
         let mut recorder = Recorder::new();
-        assert_eq!(quiet.eval_probed(&[t(0)], 0, &mut recorder), INF);
+        assert_eq!(
+            quiet.eval_instrumented(&[t(0)], 0, &mut recorder, &mut NullMetrics),
+            INF
+        );
         assert!(!recorder.is_empty());
         assert!(recorder.events().iter().all(|e| !e.is_spike()));
     }
@@ -566,7 +558,7 @@ mod tests {
         use st_metrics::MetricsRegistry;
         let n = fig11_neuron(&[1], 4);
         let mut sink = MetricsRegistry::new();
-        let out = n.eval_metered(&[t(0)], &mut sink);
+        let out = n.eval_instrumented(&[t(0)], 0, &mut NullProbe, &mut sink);
         assert_eq!(out, n.eval(&[t(0)]));
         assert_eq!(sink.counter("srm0.evals"), 1);
         assert_eq!(sink.counter("srm0.spikes"), 1);
@@ -576,7 +568,10 @@ mod tests {
         // A silent run spikes nothing but still sweeps ticks.
         let quiet = fig11_neuron(&[1], 6);
         let mut sink = MetricsRegistry::new();
-        assert_eq!(quiet.eval_metered(&[t(0)], &mut sink), INF);
+        assert_eq!(
+            quiet.eval_instrumented(&[t(0)], 0, &mut NullProbe, &mut sink),
+            INF
+        );
         assert_eq!(sink.counter("srm0.spikes"), 0);
         assert!(sink.counter("srm0.potential_updates") > 0);
     }

@@ -21,12 +21,12 @@
 //!
 //! ## The zero-overhead contract
 //!
-//! Engines expose `*_probed` entry points generic over `P: Probe` and
-//! guard every event construction behind [`Probe::is_enabled`]. The
-//! plain entry points instantiate them with [`NullProbe`], whose two
-//! methods are `#[inline(always)]` constants — the optimizer erases the
-//! instrumentation entirely, so existing call sites compile to exactly
-//! the pre-observability code. The workspace property suite additionally
+//! Engines expose `*_instrumented` entry points generic over `P: Probe`
+//! (and a metric sink) and guard every event construction behind
+//! [`Probe::is_enabled`]. The plain entry points instantiate them with
+//! [`NullProbe`], whose two methods are `#[inline(always)]` constants —
+//! the optimizer erases the instrumentation entirely, so existing call
+//! sites compile to exactly the pre-observability code. The workspace property suite additionally
 //! pins the semantic half of the contract: a [`Recorder`]-instrumented
 //! run returns bit-identical results to an uninstrumented one, across
 //! all four engines and any thread count.

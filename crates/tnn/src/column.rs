@@ -11,12 +11,12 @@
 //! is available via [`Column::to_network`] and cross-checked in tests.
 
 use st_core::Volley;
-use st_metrics::{MetricSink, NullMetrics};
+use st_metrics::MetricSink;
 use st_net::wta::{k_wta_into, wta_into};
 use st_net::{Network, NetworkBuilder};
 use st_neuron::structural::srm0_into;
 use st_neuron::Srm0Neuron;
-use st_obs::{NullProbe, ObsEvent, Probe};
+use st_obs::{ObsEvent, Probe};
 
 /// The lateral-inhibition policy applied across a column's outputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,34 +150,15 @@ impl Column {
         self.apply_inhibition(self.eval_raw(inputs))
     }
 
-    /// [`Column::eval`] with observability: evaluates each neuron through
-    /// [`Srm0Neuron::eval_probed`] (potentials and output spikes,
-    /// attributed by neuron index) and records the column's WTA decision
-    /// ([`ObsEvent::WtaDecision`]) before applying inhibition. With a
-    /// [`st_obs::NullProbe`] this is exactly [`Column::eval`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the volley width differs from [`Column::input_width`].
-    pub fn eval_probed<P: Probe>(&self, inputs: &Volley, probe: &mut P) -> Volley {
-        self.eval_instrumented(inputs, probe, &mut NullMetrics)
-    }
-
-    /// [`Column::eval`] with a metric sink: accumulates the `tnn.*`
-    /// counters — volleys evaluated, WTA decisions with a winner, and
-    /// silent (no-spike) decisions — on top of the per-neuron `srm0.*`
-    /// counters. With [`NullMetrics`] this compiles to exactly
-    /// [`Column::eval`]; results are identical for any sink.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the volley width differs from [`Column::input_width`].
-    pub fn eval_metered<M: MetricSink>(&self, inputs: &Volley, sink: &mut M) -> Volley {
-        self.eval_instrumented(inputs, &mut NullProbe, sink)
-    }
-
-    /// The fully instrumented evaluator behind [`Column::eval`],
-    /// [`Column::eval_probed`], and [`Column::eval_metered`].
+    /// [`Column::eval`] with a probe and a metric sink: evaluates each
+    /// neuron through [`Srm0Neuron::eval_instrumented`] (potentials and
+    /// output spikes, attributed by neuron index; `srm0.*` counters),
+    /// records the column's WTA decision ([`ObsEvent::WtaDecision`])
+    /// before applying inhibition, and accumulates the `tnn.*` counters
+    /// — volleys evaluated, WTA decisions with a winner, and silent
+    /// (no-spike) decisions. With a [`st_obs::NullProbe`] and
+    /// [`st_metrics::NullMetrics`] this is exactly [`Column::eval`];
+    /// results are identical for any instruments.
     ///
     /// # Panics
     ///
@@ -332,7 +313,9 @@ pub fn eval_chain(columns: &[Column], input: &Volley) -> Volley {
 mod tests {
     use super::*;
     use st_core::Time;
+    use st_metrics::NullMetrics;
     use st_neuron::{ResponseFn, Synapse};
+    use st_obs::NullProbe;
 
     const INF: Time = Time::INFINITY;
 
@@ -517,7 +500,10 @@ mod tests {
         let col = two_detector_column(Inhibition::one_wta());
         let input = Volley::encode([Some(0), Some(0), None, None]);
         let mut recorder = Recorder::new();
-        assert_eq!(col.eval_probed(&input, &mut recorder), col.eval(&input));
+        assert_eq!(
+            col.eval_instrumented(&input, &mut recorder, &mut NullMetrics),
+            col.eval(&input)
+        );
         let decisions: Vec<_> = recorder
             .events()
             .iter()
@@ -538,7 +524,7 @@ mod tests {
 
         // A silent volley records a silent decision.
         let mut recorder = Recorder::new();
-        let out = col.eval_probed(&Volley::silent(4), &mut recorder);
+        let out = col.eval_instrumented(&Volley::silent(4), &mut recorder, &mut NullMetrics);
         assert_eq!(out, Volley::silent(2));
         assert!(recorder.events().contains(&ObsEvent::WtaDecision {
             winner: None,
@@ -552,7 +538,10 @@ mod tests {
         let col = two_detector_column(Inhibition::one_wta());
         let mut sink = MetricsRegistry::new();
         let input = Volley::encode([Some(0), Some(0), None, None]);
-        assert_eq!(col.eval_metered(&input, &mut sink), col.eval(&input));
+        assert_eq!(
+            col.eval_instrumented(&input, &mut NullProbe, &mut sink),
+            col.eval(&input)
+        );
         assert_eq!(sink.counter("tnn.volleys"), 1);
         assert_eq!(sink.counter("tnn.wta_decisions"), 1);
         assert_eq!(sink.counter("tnn.silent_decisions"), 0);
@@ -560,7 +549,10 @@ mod tests {
         assert_eq!(sink.counter("srm0.evals"), 2);
         // A silent volley counts as a silent decision.
         let silent = Volley::silent(4);
-        assert_eq!(col.eval_metered(&silent, &mut sink), col.eval(&silent));
+        assert_eq!(
+            col.eval_instrumented(&silent, &mut NullProbe, &mut sink),
+            col.eval(&silent)
+        );
         assert_eq!(sink.counter("tnn.volleys"), 2);
         assert_eq!(sink.counter("tnn.silent_decisions"), 1);
     }

@@ -65,5 +65,6 @@ pub use patch::PatchLayer;
 pub use stdp::{apply_stdp, StdpParams};
 pub use tempotron::{Tempotron, TempotronParams};
 pub use train::{
-    evaluate_column, fresh_column, train_column, train_column_probed, TrainConfig, TrainReport,
+    evaluate_column, fresh_column, train_column, train_column_instrumented, TrainConfig,
+    TrainReport,
 };

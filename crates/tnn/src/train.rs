@@ -112,40 +112,18 @@ pub fn train_column(
     stream: &[LabelledVolley],
     config: &TrainConfig,
 ) -> TrainReport {
-    train_column_probed(column, stream, config, &mut NullProbe)
+    train_column_instrumented(column, stream, config, &mut NullProbe, &mut NullMetrics)
 }
 
-/// [`train_column`] with observability: marks each presentation with
-/// [`ObsEvent::VolleyStart`], records the WTA outcome of every volley
-/// ([`ObsEvent::WtaDecision`], silent decisions included) and one
-/// [`ObsEvent::WeightDelta`] per synapse weight an STDP (or rescue) update
-/// actually changed. With a [`NullProbe`] this is exactly [`train_column`]
-/// — the probe never perturbs the RNG, so trained weights are identical.
-pub fn train_column_probed<P: Probe>(
-    column: &mut Column,
-    stream: &[LabelledVolley],
-    config: &TrainConfig,
-    probe: &mut P,
-) -> TrainReport {
-    train_column_instrumented(column, stream, config, probe, &mut NullMetrics)
-}
-
-/// [`train_column`] with a metric sink: accumulates the `stdp.*` counters
-/// — presentations, winner STDP updates, individual weight deltas, and
-/// homeostatic rescues. With [`NullMetrics`] this compiles to exactly
-/// [`train_column`] — the sink never touches the RNG, so trained weights
-/// are identical.
-pub fn train_column_metered<M: MetricSink>(
-    column: &mut Column,
-    stream: &[LabelledVolley],
-    config: &TrainConfig,
-    sink: &mut M,
-) -> TrainReport {
-    train_column_instrumented(column, stream, config, &mut NullProbe, sink)
-}
-
-/// The fully instrumented trainer behind [`train_column`],
-/// [`train_column_probed`], and [`train_column_metered`].
+/// [`train_column`] with a probe and a metric sink: the probe marks each
+/// presentation with [`ObsEvent::VolleyStart`] and records the WTA
+/// outcome of every volley ([`ObsEvent::WtaDecision`], silent decisions
+/// included) and one [`ObsEvent::WeightDelta`] per synapse weight an
+/// STDP (or rescue) update actually changed; the sink accumulates the
+/// `stdp.*` counters — presentations, winner STDP updates, individual
+/// weight deltas, and homeostatic rescues. With a [`NullProbe`] and
+/// [`NullMetrics`] this is exactly [`train_column`]: the instruments
+/// never touch the RNG, so trained weights are identical.
 pub fn train_column_instrumented<P: Probe, M: MetricSink>(
     column: &mut Column,
     stream: &[LabelledVolley],
@@ -410,7 +388,13 @@ mod tests {
 
         let mut probed = fresh_column(3, 12, 0.25, &config);
         let mut recorder = Recorder::new();
-        let probed_report = train_column_probed(&mut probed, &stream, &config, &mut recorder);
+        let probed_report = train_column_instrumented(
+            &mut probed,
+            &stream,
+            &config,
+            &mut recorder,
+            &mut NullMetrics,
+        );
 
         // The probe never perturbs training.
         assert_eq!(probed_report, plain_report);
@@ -451,7 +435,8 @@ mod tests {
 
         let mut metered = fresh_column(3, 12, 0.25, &config);
         let mut sink = MetricsRegistry::new();
-        let metered_report = train_column_metered(&mut metered, &stream, &config, &mut sink);
+        let metered_report =
+            train_column_instrumented(&mut metered, &stream, &config, &mut NullProbe, &mut sink);
 
         // The sink never perturbs training (RNG untouched).
         assert_eq!(metered_report, plain_report);

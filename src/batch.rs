@@ -13,8 +13,13 @@
 //! column, GRL netlist, flattened SWAR kernel plan), each stored in its
 //! pre-indexed representation.
 //! [`BatchEvaluator`] is the evaluate-many half: it splits a volley batch
-//! into contiguous chunks, one per worker thread (`std::thread::scope`, no
-//! dependencies), and evaluates each chunk against the shared artifact.
+//! into contiguous chunks of whole units and runs every chunk through one
+//! chunk runner. The unit is an eight-volley SWAR packet when the artifact
+//! is a kernel plan and every volley fits its lanes, and one volley
+//! otherwise. A lone chunk runs inline on the calling thread; otherwise
+//! each chunk gets its own scoped worker (`std::thread::scope`, no
+//! dependencies), joined in worker order. One merge then records every
+//! metric and timing event from the chunks, which arrive in index order.
 //!
 //! Results are **bit-identical to the sequential engines** regardless of
 //! thread count — each output is a pure function of one input volley, so
@@ -43,7 +48,7 @@ use std::fmt;
 use std::time::Instant;
 
 use st_core::{lane, CompiledTable, CoreError, FunctionTable, Volley};
-use st_grl::{compile_network, GrlNetlist, GrlSim};
+use st_grl::{compile_network, GrlNetlist, GrlScratch, GrlSim};
 use st_kernel::{PacketStats, Plan, Scratch};
 use st_metrics::{MetricSink, MetricsRegistry, NullMetrics};
 use st_net::{CompiledNetwork, EventSim, Network};
@@ -152,8 +157,8 @@ impl CompiledArtifact {
         }
     }
 
-    /// Evaluates one volley sequentially — the unit of work the batch
-    /// engine distributes.
+    /// Evaluates one volley sequentially — the batch engine's unit of
+    /// work on every call that does not take SWAR packets.
     ///
     /// # Errors
     ///
@@ -187,7 +192,7 @@ impl CompiledArtifact {
                 Ok(out)
             }
             CompiledArtifact::Network(n) => n
-                .run_metered(volley.times(), sink)
+                .run_instrumented(volley.times(), &mut NullProbe, sink)
                 .map(|r| Volley::new(r.outputs)),
             CompiledArtifact::Column(c) => {
                 if volley.width() != c.input_width() {
@@ -196,12 +201,20 @@ impl CompiledArtifact {
                         actual: volley.width(),
                     });
                 }
-                Ok(c.eval_metered(volley, sink))
+                Ok(c.eval_instrumented(volley, &mut NullProbe, sink))
             }
             CompiledArtifact::Grl(g) => GrlSim::new()
-                .run_metered(g, volley.times(), sink)
+                .run_instrumented(
+                    g,
+                    volley.times(),
+                    &mut GrlScratch::default(),
+                    &mut NullProbe,
+                    sink,
+                )
                 .map(|r| Volley::new(r.outputs)),
-            CompiledArtifact::Kernel(p) => p.eval_metered(volley.times(), sink).map(Volley::new),
+            CompiledArtifact::Kernel(p) => p
+                .eval_instrumented(volley.times(), &mut NullProbe, sink)
+                .map(Volley::new),
         }
     }
 }
@@ -298,8 +311,9 @@ impl BatchEvaluator {
 
     /// Evaluates every volley against the artifact, preserving order.
     ///
-    /// Spawns at most `min(threads, volleys.len())` scoped workers; a
-    /// single-thread evaluator (or a single-volley batch) runs inline
+    /// Spawns at most one scoped worker per thread and per unit (an
+    /// eight-volley packet on the SWAR path, one volley otherwise); a
+    /// single-thread evaluator, or a batch of one unit, runs inline
     /// without spawning.
     ///
     /// # Errors
@@ -313,114 +327,47 @@ impl BatchEvaluator {
         artifact: &CompiledArtifact,
         volleys: &[Volley],
     ) -> Result<Vec<Volley>, BatchError> {
-        self.eval_probed(artifact, volleys, &mut NullProbe)
-    }
-
-    /// [`BatchEvaluator::eval`] with observability: on success records one
-    /// [`ObsEvent::VolleyTimed`] per volley (wall-clock latency and output
-    /// spike count), one [`ObsEvent::ChunkTiming`] per worker, and a
-    /// closing `"eval"` [`ObsEvent::StageTiming`]. Workers collect their
-    /// timings locally and the calling thread records them after the join
-    /// (volleys in index order, chunks in worker order), so the event
-    /// stream — like the outputs — is deterministic for a given run.
-    ///
-    /// Timestamps are captured only when the probe is live; with a
-    /// [`NullProbe`] this is exactly [`BatchEvaluator::eval`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowest-index [`BatchError`] if any volley fails; no
-    /// timing events are recorded for a failed batch.
-    pub fn eval_probed<P: Probe>(
-        &self,
-        artifact: &CompiledArtifact,
-        volleys: &[Volley],
-        probe: &mut P,
-    ) -> Result<Vec<Volley>, BatchError> {
         self.eval_instrumented(
             artifact,
             volleys,
-            probe,
+            &mut NullProbe,
             &mut NullMetrics,
             &mut NullTracer,
             SpanId::NONE,
         )
     }
 
-    /// [`BatchEvaluator::eval`] with a metric sink: on success absorbs the
-    /// per-volley engine counters (via
-    /// [`CompiledArtifact::eval_one_metered`]) plus the `batch.*` metrics —
-    /// `batch.volleys` / `batch.chunks` counters and the
-    /// `batch.volley_nanos` / `batch.chunk_nanos` wall-clock histograms.
-    /// Workers aggregate into private registries which the calling thread
-    /// absorbs post-join in worker order, so engine counters are identical
-    /// for every thread count. A failed batch records no metrics.
+    /// [`BatchEvaluator::eval`] with a probe, a metric sink and a span
+    /// tracer. With [`NullProbe`], [`NullMetrics`] and [`NullTracer`]
+    /// this is exactly [`BatchEvaluator::eval`]; outputs are identical
+    /// for any instruments, and timestamps are captured only when one of
+    /// them is live. What each one records, on success only:
     ///
-    /// With [`NullMetrics`] this is exactly [`BatchEvaluator::eval`].
+    /// - **probe:** one [`ObsEvent::VolleyTimed`] per volley (wall-clock
+    ///   latency and output spike count; on the SWAR path each volley's
+    ///   even share of its packet), then one [`ObsEvent::ChunkTiming`]
+    ///   per chunk, then a closing `"eval"` [`ObsEvent::StageTiming`].
+    /// - **sink:** the per-volley engine counters (via
+    ///   [`CompiledArtifact::eval_one_metered`]) or, on the SWAR path,
+    ///   the `kernel.packets`/`kernel.gates_swar`/`kernel.gates_skipped`
+    ///   counters; plus the `batch.volleys`/`batch.chunks` counters and
+    ///   the `batch.volley_nanos`/`batch.chunk_nanos` histograms. Engine
+    ///   counters are identical for every thread count.
+    /// - **tracer:** one `batch.chunk` span per chunk and, on the SWAR
+    ///   path, one `kernel.packet` span per packet under its chunk, all
+    ///   parented to `parent`: the dispatching stage span, whose id
+    ///   crosses the `std::thread::scope` boundary explicitly. A lone
+    ///   chunk records on the calling thread (`tid` 0); spawned workers
+    ///   record into buffers minted by [`Tracer::worker`].
     ///
-    /// # Errors
-    ///
-    /// Returns the lowest-index [`BatchError`] if any volley fails.
-    pub fn eval_metered<M: MetricSink>(
-        &self,
-        artifact: &CompiledArtifact,
-        volleys: &[Volley],
-        sink: &mut M,
-    ) -> Result<Vec<Volley>, BatchError> {
-        self.eval_instrumented(
-            artifact,
-            volleys,
-            &mut NullProbe,
-            sink,
-            &mut NullTracer,
-            SpanId::NONE,
-        )
-    }
-
-    /// [`BatchEvaluator::eval`] with hierarchical spans: records one
-    /// `batch.chunk` span per worker (and, on the SWAR fast path, one
-    /// `kernel.packet` span per packet under its chunk), all parented to
-    /// `parent` — the dispatching stage span whose id the caller carries
-    /// across the `std::thread::scope` boundary. Workers append into
-    /// private per-thread buffers minted by [`Tracer::worker`]; the
-    /// calling thread absorbs them post-join in worker order.
-    ///
-    /// With a [`NullTracer`] this is exactly [`BatchEvaluator::eval`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowest-index [`BatchError`] if any volley fails; a
-    /// failed batch records no spans (the trace is truncated back to its
-    /// state at entry).
-    pub fn eval_traced<T: Tracer>(
-        &self,
-        artifact: &CompiledArtifact,
-        volleys: &[Volley],
-        tracer: &mut T,
-        parent: SpanId,
-    ) -> Result<Vec<Volley>, BatchError> {
-        self.eval_instrumented(
-            artifact,
-            volleys,
-            &mut NullProbe,
-            &mut NullMetrics,
-            tracer,
-            parent,
-        )
-    }
-
-    /// The fully instrumented evaluator behind [`BatchEvaluator::eval`],
-    /// [`BatchEvaluator::eval_probed`], [`BatchEvaluator::eval_metered`],
-    /// and [`BatchEvaluator::eval_traced`].
-    ///
-    /// Timestamps are captured only when the probe, the sink, or the
-    /// tracer is live; with [`NullProbe`], [`NullMetrics`], and
-    /// [`NullTracer`] this is exactly [`BatchEvaluator::eval`].
+    /// Chunks come back in worker order and each records in index
+    /// order, so events, histograms and spans merge deterministically.
     ///
     /// # Errors
     ///
     /// Returns the lowest-index [`BatchError`] if any volley fails; no
-    /// timing events, metrics, or spans are recorded for a failed batch.
+    /// timing events, metrics, or spans are recorded for a failed batch
+    /// (the trace is truncated back to its state at entry).
     pub fn eval_instrumented<P: Probe, M: MetricSink, T: Tracer>(
         &self,
         artifact: &CompiledArtifact,
@@ -430,437 +377,238 @@ impl BatchEvaluator {
         tracer: &mut T,
         parent: SpanId,
     ) -> Result<Vec<Volley>, BatchError> {
-        if let CompiledArtifact::Kernel(plan) = artifact {
-            let widths_ok = volleys.iter().all(|v| v.width() == plan.input_count());
-            if !volleys.is_empty() && widths_ok && plan.lane_capable(volleys) {
-                return Ok(self.eval_kernel_packets(plan, volleys, probe, sink, tracer, parent));
+        // The whole call takes SWAR packets when every volley fits the
+        // plan's lanes; otherwise it runs one volley at a time, and the
+        // scalar plan evaluator (bit-identical at full u64 precision)
+        // reports the lowest failing index like every other engine.
+        let packets = match artifact {
+            CompiledArtifact::Kernel(plan)
+                if !volleys.is_empty()
+                    && volleys.iter().all(|v| v.width() == plan.input_count())
+                    && plan.lane_capable(volleys) =>
+            {
+                Some(plan)
             }
-            // Otherwise fall through: the generic per-volley path below
-            // runs the scalar plan evaluator (bit-identical at full u64
-            // precision) and reports the lowest failing index on a
-            // width mismatch, exactly like every other engine.
-        }
-        let enabled = probe.is_enabled();
-        let metered = sink.is_live();
-        let traced = tracer.is_enabled();
-        let timed = enabled || metered || traced;
+            _ => None,
+        };
+        let job = Job {
+            artifact,
+            packets,
+            timed: probe.is_enabled() || sink.is_live() || tracer.is_enabled(),
+            metered: sink.is_live(),
+            stage_start: Instant::now(), // cheap; read only when timed
+            parent,
+        };
         let trace_mark = tracer.mark();
-        let stage_start = Instant::now(); // cheap; read only when timed
-        let workers = self.threads.min(volleys.len()).max(1);
         let mut outputs: Vec<Volley> = Vec::with_capacity(volleys.len());
         outputs.resize_with(volleys.len(), || Volley::new(Vec::new()));
 
-        if workers == 1 {
-            // Engine counters go into a local registry first so a failed
-            // batch leaves the caller's sink untouched (matching the
-            // multi-worker path and the probe contract).
-            let mut local = metered.then(MetricsRegistry::new);
-            let mut timings: Vec<(usize, u64, usize)> = Vec::new();
-            let chunk_span = tracer.begin("batch.chunk", parent);
-            for (index, (volley, slot)) in volleys.iter().zip(&mut outputs).enumerate() {
-                let t0 = timed.then(Instant::now);
-                let result = match local.as_mut() {
-                    Some(registry) => artifact.eval_one_metered(volley, registry),
-                    None => artifact.eval_one(volley),
-                };
-                match result {
-                    Ok(out) => *slot = out,
-                    Err(source) => {
-                        tracer.end(chunk_span);
-                        tracer.truncate(trace_mark);
-                        return Err(BatchError { index, source });
-                    }
+        // Chunks are whole units (packets or volleys), so the unit
+        // partition, and with it every engine counter, is the same at
+        // every thread count.
+        let unit = if packets.is_some() { lane::LANES } else { 1 };
+        let units = volleys.len().div_ceil(unit);
+        let workers = self.threads.min(units).max(1);
+        let chunks: Vec<Chunk> = if workers == 1 {
+            vec![job.run_chunk(0, volleys, &mut outputs, tracer)]
+        } else {
+            let chunk_len = units.div_ceil(workers) * unit;
+            std::thread::scope(|scope| {
+                let job = &job;
+                let handles: Vec<_> = volleys
+                    .chunks(chunk_len)
+                    .zip(outputs.chunks_mut(chunk_len))
+                    .enumerate()
+                    .map(|(w, (input, output))| {
+                        let mut wtracer = tracer.worker(w as u32 + 1);
+                        scope.spawn(move || {
+                            let chunk = job.run_chunk(w * chunk_len, input, output, &mut wtracer);
+                            (chunk, wtracer)
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|handle| {
+                        let (chunk, wtracer) = handle.join().expect("batch worker panicked");
+                        tracer.absorb(wtracer);
+                        chunk
+                    })
+                    .collect()
+            })
+        };
+
+        // Chunks stop at their first failure; in worker order the first
+        // failure found is the lowest-index one.
+        if let Some(error) = chunks.iter().find_map(|chunk| chunk.error.clone()) {
+            tracer.truncate(trace_mark);
+            return Err(error);
+        }
+        if job.metered {
+            sink.incr("batch.volleys", volleys.len() as u64);
+            sink.incr("batch.chunks", chunks.len() as u64);
+            for chunk in &chunks {
+                if let Some(registry) = &chunk.registry {
+                    sink.absorb(registry);
                 }
-                if let Some(t0) = t0 {
-                    timings.push((index, t0.elapsed().as_nanos() as u64, slot.spike_count()));
+                if job.packets.is_some() {
+                    sink.incr("kernel.packets", chunk.len.div_ceil(lane::LANES) as u64);
+                    sink.incr("kernel.gates_swar", chunk.stats.gates_swar);
+                    sink.incr("kernel.gates_skipped", chunk.stats.gates_skipped);
                 }
+                for &(nanos, _) in &chunk.timings {
+                    sink.observe("batch.volley_nanos", nanos);
+                }
+                sink.observe("batch.chunk_nanos", chunk.nanos);
             }
-            tracer.end(chunk_span);
-            let stage_nanos = if timed {
-                stage_start.elapsed().as_nanos() as u64
-            } else {
-                0
-            };
-            if let Some(mut registry) = local {
-                registry.incr("batch.volleys", volleys.len() as u64);
-                registry.incr("batch.chunks", 1);
-                for &(_, nanos, _) in &timings {
-                    registry.observe("batch.volley_nanos", nanos);
-                }
-                registry.observe("batch.chunk_nanos", stage_nanos);
-                sink.absorb(&registry);
-            }
-            if enabled {
-                for (index, nanos, spikes) in timings {
+        }
+        if probe.is_enabled() {
+            for chunk in &chunks {
+                for (offset, &(nanos, spikes)) in chunk.timings.iter().enumerate() {
                     probe.record(ObsEvent::VolleyTimed {
-                        index,
+                        index: chunk.start + offset,
                         nanos,
                         spikes,
                     });
                 }
-                probe.record(ObsEvent::ChunkTiming {
-                    worker: 0,
-                    start: 0,
-                    len: volleys.len(),
-                    start_nanos: 0,
-                    nanos: stage_nanos,
-                });
-                probe.record(ObsEvent::StageTiming {
-                    stage: "eval",
-                    start_nanos: 0,
-                    nanos: stage_nanos,
-                });
             }
-            return Ok(outputs);
-        }
-
-        let chunk_len = volleys.len().div_ceil(workers);
-        // (worker, base, len, start_nanos, nanos, per-volley timings).
-        type ChunkTrace = (usize, usize, usize, u64, u64, Vec<(usize, u64, usize)>);
-        type WorkerYield<W> = (
-            Option<BatchError>,
-            Option<ChunkTrace>,
-            Option<MetricsRegistry>,
-            W,
-        );
-        let (first_failure, mut traces, registries) = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for (w, (in_chunk, out_chunk)) in volleys
-                .chunks(chunk_len)
-                .zip(outputs.chunks_mut(chunk_len))
-                .enumerate()
-            {
-                let base = w * chunk_len;
-                // The chunk span's parent is the dispatching stage span,
-                // carried across the scope boundary by explicit id.
-                let mut wtracer = tracer.worker(w as u32 + 1);
-                handles.push(scope.spawn(move || -> WorkerYield<T::Worker> {
-                    let chunk_start = timed.then(Instant::now);
-                    let chunk_span = wtracer.begin("batch.chunk", parent);
-                    let mut local = metered.then(MetricsRegistry::new);
-                    let mut timings = Vec::new();
-                    if timed {
-                        timings.reserve_exact(in_chunk.len());
-                    }
-                    for (offset, (volley, slot)) in in_chunk.iter().zip(out_chunk).enumerate() {
-                        let t0 = timed.then(Instant::now);
-                        let result = match local.as_mut() {
-                            Some(registry) => artifact.eval_one_metered(volley, registry),
-                            None => artifact.eval_one(volley),
-                        };
-                        match result {
-                            Ok(out) => {
-                                *slot = out;
-                                if let Some(t0) = t0 {
-                                    timings.push((
-                                        base + offset,
-                                        t0.elapsed().as_nanos() as u64,
-                                        slot.spike_count(),
-                                    ));
-                                }
-                            }
-                            Err(source) => {
-                                // Stop this chunk at its first failure;
-                                // the lowest index across chunks wins
-                                // below. The whole batch fails, so its
-                                // spans are truncated away post-join.
-                                wtracer.end(chunk_span);
-                                return (
-                                    Some(BatchError {
-                                        index: base + offset,
-                                        source,
-                                    }),
-                                    None,
-                                    None,
-                                    wtracer,
-                                );
-                            }
-                        }
-                    }
-                    wtracer.end(chunk_span);
-                    let trace = chunk_start.map(|t0| {
-                        (
-                            w,
-                            base,
-                            in_chunk.len(),
-                            (t0 - stage_start).as_nanos() as u64,
-                            t0.elapsed().as_nanos() as u64,
-                            timings,
-                        )
-                    });
-                    (None, trace, local, wtracer)
-                }));
-            }
-            let mut failure: Option<BatchError> = None;
-            let mut traces: Vec<ChunkTrace> = Vec::new();
-            // Worker-order collection keeps the post-join merge
-            // deterministic regardless of which worker finished first.
-            let mut registries: Vec<MetricsRegistry> = Vec::new();
-            for handle in handles {
-                let (error, trace, registry, wtracer) =
-                    handle.join().expect("batch worker panicked");
-                if let Some(e) = error {
-                    failure = match failure.take() {
-                        Some(best) if best.index < e.index => Some(best),
-                        _ => Some(e),
-                    };
-                }
-                traces.extend(trace);
-                registries.extend(registry);
-                tracer.absorb(wtracer);
-            }
-            (failure, traces, registries)
-        });
-
-        if let Some(error) = first_failure {
-            tracer.truncate(trace_mark);
-            return Err(error);
-        }
-        let mut volley_timings: Vec<(usize, u64, usize)> = Vec::new();
-        if timed {
-            volley_timings = traces
-                .iter()
-                .flat_map(|trace| trace.5.iter().copied())
-                .collect();
-            volley_timings.sort_unstable_by_key(|&(index, _, _)| index);
-            traces.sort_unstable_by_key(|&(worker, ..)| worker);
-        }
-        if metered {
-            let mut merged = MetricsRegistry::new();
-            for registry in &registries {
-                merged.absorb(registry);
-            }
-            merged.incr("batch.volleys", volleys.len() as u64);
-            merged.incr("batch.chunks", traces.len() as u64);
-            for &(_, nanos, _) in &volley_timings {
-                merged.observe("batch.volley_nanos", nanos);
-            }
-            for &(_, _, _, _, nanos, _) in &traces {
-                merged.observe("batch.chunk_nanos", nanos);
-            }
-            sink.absorb(&merged);
-        }
-        if enabled {
-            for &(index, nanos, spikes) in &volley_timings {
-                probe.record(ObsEvent::VolleyTimed {
-                    index,
-                    nanos,
-                    spikes,
-                });
-            }
-            for &(worker, start, len, start_nanos, nanos, _) in &traces {
+            for (worker, chunk) in chunks.iter().enumerate() {
                 probe.record(ObsEvent::ChunkTiming {
                     worker,
-                    start,
-                    len,
-                    start_nanos,
-                    nanos,
+                    start: chunk.start,
+                    len: chunk.len,
+                    start_nanos: chunk.start_nanos,
+                    nanos: chunk.nanos,
                 });
             }
             probe.record(ObsEvent::StageTiming {
                 stage: "eval",
                 start_nanos: 0,
-                nanos: stage_start.elapsed().as_nanos() as u64,
+                nanos: job.stage_start.elapsed().as_nanos() as u64,
             });
         }
         Ok(outputs)
     }
+}
 
-    /// The lane-packed fast path behind [`BatchEvaluator::eval_instrumented`]
-    /// for [`CompiledArtifact::Kernel`] batches within the plan's lane
-    /// bound (so it cannot fail — arity and bounds are pre-checked).
-    ///
-    /// Volleys are evaluated eight per packet; worker chunks are
-    /// **packet-aligned** (a multiple of eight volleys), so the packet
-    /// partition — and with it every deterministic `kernel.*` counter —
-    /// is identical at every thread count, exactly as the generic path's
-    /// engine counters are. Per-volley [`ObsEvent::VolleyTimed`] events
-    /// report each volley's even share of its packet's wall-clock time.
-    fn eval_kernel_packets<P: Probe, M: MetricSink, T: Tracer>(
+/// What every chunk of one [`BatchEvaluator::eval_instrumented`] call
+/// shares.
+struct Job<'a> {
+    artifact: &'a CompiledArtifact,
+    /// The kernel plan, when the call takes SWAR packets.
+    packets: Option<&'a Plan>,
+    /// Whether any instrument is live, so timestamps are worth taking.
+    timed: bool,
+    /// Whether the sink is live, so chunks meter into registries.
+    metered: bool,
+    stage_start: Instant,
+    parent: SpanId,
+}
+
+/// What one chunk hands back to the merge.
+struct Chunk {
+    /// Index of the chunk's first volley within the batch.
+    start: usize,
+    len: usize,
+    /// Chunk start after the stage start, and chunk duration (0 when
+    /// untimed).
+    start_nanos: u64,
+    nanos: u64,
+    /// Per volley, in index order: wall-clock nanos and output spikes
+    /// (empty when untimed).
+    timings: Vec<(u64, usize)>,
+    /// The packet walk's gate counts (zero off the SWAR path).
+    stats: PacketStats,
+    /// The per-volley engine counters, when metered.
+    registry: Option<MetricsRegistry>,
+    /// The chunk's first failure; it stops the chunk.
+    error: Option<BatchError>,
+}
+
+impl Job<'_> {
+    /// Evaluates the volleys `input` (the batch's from index `start` on)
+    /// into `output` under one `batch.chunk` span: eight at a time
+    /// through [`Plan::eval_packet`] on SWAR calls, each under a
+    /// `kernel.packet` span, and one at a time through
+    /// [`CompiledArtifact::eval_one_metered`] otherwise.
+    fn run_chunk<T: Tracer>(
         &self,
-        plan: &Plan,
-        volleys: &[Volley],
-        probe: &mut P,
-        sink: &mut M,
+        start: usize,
+        input: &[Volley],
+        output: &mut [Volley],
         tracer: &mut T,
-        parent: SpanId,
-    ) -> Vec<Volley> {
-        let enabled = probe.is_enabled();
-        let metered = sink.is_live();
-        let timed = enabled || metered || tracer.is_enabled();
-        let stage_start = Instant::now(); // cheap; read only when timed
-        let packets = volleys.len().div_ceil(lane::LANES);
-        let workers = self.threads.min(packets).max(1);
-        let mut outputs: Vec<Volley> = Vec::with_capacity(volleys.len());
-        outputs.resize_with(volleys.len(), || Volley::new(Vec::new()));
-
-        // One worker's packet loop over a contiguous chunk of volleys,
-        // recording one `kernel.packet` span per packet under the
-        // worker's chunk span. Generic so the inline path runs it on the
-        // calling tracer and the parallel path on per-worker buffers.
-        fn run_chunk<TR: Tracer>(
-            plan: &Plan,
-            timed: bool,
-            base: usize,
-            in_chunk: &[Volley],
-            out_chunk: &mut [Volley],
-            tracer: &mut TR,
-            chunk_span: SpanId,
-        ) -> (PacketStats, Vec<(usize, u64, usize)>) {
+    ) -> Chunk {
+        let chunk_start = self.timed.then(Instant::now);
+        let span = tracer.begin("batch.chunk", self.parent);
+        let mut chunk = Chunk {
+            start,
+            len: input.len(),
+            start_nanos: 0,
+            nanos: 0,
+            timings: Vec::new(),
+            stats: PacketStats::default(),
+            registry: self.metered.then(MetricsRegistry::new),
+            error: None,
+        };
+        if self.timed {
+            chunk.timings.reserve_exact(input.len());
+        }
+        if let Some(plan) = self.packets {
             let traced = tracer.is_enabled();
             let mut scratch = Scratch::default();
-            let mut stats = PacketStats::default();
-            let mut timings = Vec::new();
-            for (p, (p_in, p_out)) in in_chunk
+            for (packet, slots) in input
                 .chunks(lane::LANES)
-                .zip(out_chunk.chunks_mut(lane::LANES))
-                .enumerate()
+                .zip(output.chunks_mut(lane::LANES))
             {
-                let t0 = timed.then(Instant::now);
+                let t0 = self.timed.then(Instant::now);
                 let packet_span = if traced {
-                    tracer.begin("kernel.packet", chunk_span)
+                    tracer.begin("kernel.packet", span)
                 } else {
                     SpanId::NONE
                 };
-                stats.absorb(plan.eval_packet(&mut scratch, p_in, p_out));
+                chunk
+                    .stats
+                    .absorb(plan.eval_packet(&mut scratch, packet, slots));
                 if traced {
                     tracer.end(packet_span);
                 }
                 if let Some(t0) = t0 {
-                    let share = t0.elapsed().as_nanos() as u64 / p_in.len() as u64;
-                    let packet_base = base + p * lane::LANES;
-                    for (k, slot) in p_out.iter().enumerate().take(p_in.len()) {
-                        timings.push((packet_base + k, share, slot.spike_count()));
+                    let share = t0.elapsed().as_nanos() as u64 / packet.len() as u64;
+                    chunk
+                        .timings
+                        .extend(slots.iter().map(|slot| (share, slot.spike_count())));
+                }
+            }
+        } else {
+            for (offset, (volley, slot)) in input.iter().zip(output).enumerate() {
+                let t0 = self.timed.then(Instant::now);
+                let result = match &mut chunk.registry {
+                    Some(registry) => self.artifact.eval_one_metered(volley, registry),
+                    None => self.artifact.eval_one(volley),
+                };
+                match result {
+                    Ok(out) => *slot = out,
+                    Err(source) => {
+                        chunk.error = Some(BatchError {
+                            index: start + offset,
+                            source,
+                        });
+                        break;
                     }
                 }
-            }
-            (stats, timings)
-        }
-
-        // (worker, base, len, start_nanos, nanos, packets, stats, timings).
-        type KernelChunkTrace = (usize, usize, usize, u64, u64, u64, PacketStats);
-        let (stats, chunk_count, mut traces, mut volley_timings) = if workers == 1 {
-            let chunk_span = tracer.begin("batch.chunk", parent);
-            let (stats, timings) =
-                run_chunk(plan, timed, 0, volleys, &mut outputs, tracer, chunk_span);
-            tracer.end(chunk_span);
-            let nanos = if timed {
-                stage_start.elapsed().as_nanos() as u64
-            } else {
-                0
-            };
-            let trace = (0, 0, volleys.len(), 0, nanos, packets as u64, stats);
-            (stats, 1u64, vec![trace], timings)
-        } else {
-            // Packet-aligned chunking: every chunk but the last is a
-            // multiple of eight volleys.
-            let chunk_len = packets.div_ceil(workers) * lane::LANES;
-            let (traces, timings) = std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(workers);
-                for (w, (in_chunk, out_chunk)) in volleys
-                    .chunks(chunk_len)
-                    .zip(outputs.chunks_mut(chunk_len))
-                    .enumerate()
-                {
-                    let base = w * chunk_len;
-                    // Chunk and packet spans nest under the dispatching
-                    // stage span via the explicit parent id.
-                    let mut wtracer = tracer.worker(w as u32 + 1);
-                    handles.push(scope.spawn(move || {
-                        let chunk_start = timed.then(Instant::now);
-                        let chunk_span = wtracer.begin("batch.chunk", parent);
-                        let (stats, timings) = run_chunk(
-                            plan,
-                            timed,
-                            base,
-                            in_chunk,
-                            out_chunk,
-                            &mut wtracer,
-                            chunk_span,
-                        );
-                        wtracer.end(chunk_span);
-                        let (start_nanos, nanos) = chunk_start.map_or((0, 0), |t0| {
-                            (
-                                (t0 - stage_start).as_nanos() as u64,
-                                t0.elapsed().as_nanos() as u64,
-                            )
-                        });
-                        let chunk_packets = in_chunk.len().div_ceil(lane::LANES) as u64;
-                        let trace: KernelChunkTrace = (
-                            w,
-                            base,
-                            in_chunk.len(),
-                            start_nanos,
-                            nanos,
-                            chunk_packets,
-                            stats,
-                        );
-                        (trace, timings, wtracer)
-                    }));
+                if let Some(t0) = t0 {
+                    chunk
+                        .timings
+                        .push((t0.elapsed().as_nanos() as u64, slot.spike_count()));
                 }
-                let mut traces: Vec<KernelChunkTrace> = Vec::new();
-                let mut timings: Vec<(usize, u64, usize)> = Vec::new();
-                // Worker-order collection keeps the merge deterministic.
-                for handle in handles {
-                    let (trace, chunk_timings, wtracer) =
-                        handle.join().expect("kernel worker panicked");
-                    traces.push(trace);
-                    timings.extend(chunk_timings);
-                    tracer.absorb(wtracer);
-                }
-                (traces, timings)
-            });
-            let mut stats = PacketStats::default();
-            for &(.., s) in &traces {
-                stats.absorb(s);
             }
-            let chunks = traces.len() as u64;
-            (stats, chunks, traces, timings)
-        };
-
-        if timed {
-            volley_timings.sort_unstable_by_key(|&(index, _, _)| index);
-            traces.sort_unstable_by_key(|&(worker, ..)| worker);
         }
-        if metered {
-            let mut merged = MetricsRegistry::new();
-            merged.incr("batch.volleys", volleys.len() as u64);
-            merged.incr("batch.chunks", chunk_count);
-            merged.incr("kernel.packets", packets as u64);
-            merged.incr("kernel.gates_swar", stats.gates_swar);
-            merged.incr("kernel.gates_skipped", stats.gates_skipped);
-            for &(_, nanos, _) in &volley_timings {
-                merged.observe("batch.volley_nanos", nanos);
-            }
-            for &(_, _, _, _, nanos, _, _) in &traces {
-                merged.observe("batch.chunk_nanos", nanos);
-            }
-            sink.absorb(&merged);
+        tracer.end(span);
+        if let Some(t0) = chunk_start {
+            chunk.start_nanos = (t0 - self.stage_start).as_nanos() as u64;
+            chunk.nanos = t0.elapsed().as_nanos() as u64;
         }
-        if enabled {
-            for &(index, nanos, spikes) in &volley_timings {
-                probe.record(ObsEvent::VolleyTimed {
-                    index,
-                    nanos,
-                    spikes,
-                });
-            }
-            for &(worker, start, len, start_nanos, nanos, _, _) in &traces {
-                probe.record(ObsEvent::ChunkTiming {
-                    worker,
-                    start,
-                    len,
-                    start_nanos,
-                    nanos,
-                });
-            }
-            probe.record(ObsEvent::StageTiming {
-                stage: "eval",
-                start_nanos: 0,
-                nanos: stage_start.elapsed().as_nanos() as u64,
-            });
-        }
-        outputs
+        chunk
     }
 }
 
@@ -940,7 +688,14 @@ mod tests {
         for threads in [1, 3] {
             let mut recorder = Recorder::new();
             let got = BatchEvaluator::with_threads(threads)
-                .eval_probed(&artifact, &volleys, &mut recorder)
+                .eval_instrumented(
+                    &artifact,
+                    &volleys,
+                    &mut recorder,
+                    &mut NullMetrics,
+                    &mut NullTracer,
+                    SpanId::NONE,
+                )
                 .unwrap();
             assert_eq!(got, expected, "threads = {threads}");
             let timed: Vec<usize> = recorder
@@ -980,7 +735,14 @@ mod tests {
         bad[2] = Volley::silent(1);
         let mut recorder = Recorder::new();
         assert!(BatchEvaluator::with_threads(2)
-            .eval_probed(&artifact, &bad, &mut recorder)
+            .eval_instrumented(
+                &artifact,
+                &bad,
+                &mut recorder,
+                &mut NullMetrics,
+                &mut NullTracer,
+                SpanId::NONE
+            )
             .is_err());
         assert!(recorder.is_empty());
     }
@@ -996,7 +758,14 @@ mod tests {
         for threads in [1, 2, 3, 8] {
             let mut sink = MetricsRegistry::new();
             let got = BatchEvaluator::with_threads(threads)
-                .eval_metered(&artifact, &volleys, &mut sink)
+                .eval_instrumented(
+                    &artifact,
+                    &volleys,
+                    &mut NullProbe,
+                    &mut sink,
+                    &mut NullTracer,
+                    SpanId::NONE,
+                )
                 .unwrap();
             assert_eq!(got, expected, "threads = {threads}");
             assert_eq!(sink.counter("batch.volleys"), volleys.len() as u64);
@@ -1044,7 +813,14 @@ mod tests {
         for threads in [1, 4] {
             let mut sink = MetricsRegistry::new();
             assert!(BatchEvaluator::with_threads(threads)
-                .eval_metered(&artifact, &bad, &mut sink)
+                .eval_instrumented(
+                    &artifact,
+                    &bad,
+                    &mut NullProbe,
+                    &mut sink,
+                    &mut NullTracer,
+                    SpanId::NONE
+                )
                 .is_err());
             assert!(sink.is_empty(), "threads = {threads}");
         }

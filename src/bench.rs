@@ -20,8 +20,10 @@ use st_metrics::{
 };
 use st_net::sorting::sorting_network;
 use st_net::{Network, NetworkBuilder};
+use st_obs::NullProbe;
 use st_opt::{optimize_network, OptOptions, OptOutcome};
 use st_tnn::train::{fresh_column, TrainConfig};
+use st_trace::{NullTracer, SpanId};
 
 use crate::batch::{BatchEvaluator, CompiledArtifact};
 
@@ -299,7 +301,14 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<Scenario, String> {
     for _ in 0..iterations {
         let start = Instant::now();
         evaluator
-            .eval_metered(&artifact, &volleys, &mut registry)
+            .eval_instrumented(
+                &artifact,
+                &volleys,
+                &mut NullProbe,
+                &mut registry,
+                &mut NullTracer,
+                SpanId::NONE,
+            )
             .map_err(|e| format!("{}: evaluation failed: {e}", spec.name()))?;
         samples.push(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
     }

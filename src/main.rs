@@ -9,9 +9,12 @@
 use std::process::ExitCode;
 
 use spacetime::core::{FunctionTable, Time, Volley};
-use spacetime::grl::{try_compile_network, try_to_vcd, GrlSim};
+use spacetime::grl::{try_compile_network, try_to_vcd, GrlScratch, GrlSim};
+use spacetime::metrics::NullMetrics;
 use spacetime::net::synth::{synthesize, SynthesisOptions};
-use spacetime::net::{analysis, gate_counts, optimize, EventSim, Network};
+use spacetime::net::{analysis, gate_counts, EventSim, Network};
+use spacetime::obs::NullProbe;
+use spacetime::trace::{NullTracer, SpanId};
 
 const USAGE: &str = "\
 spacetime — the space-time algebra toolbox
@@ -270,14 +273,17 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
     };
     let mut network = synthesize(&table, options);
     if opt {
-        let (optimized, report) = optimize(&network);
+        let outcome =
+            spacetime::opt::optimize_network(&network, &spacetime::opt::OptOptions::default())?;
         eprintln!(
             "optimized: {} → {} gates ({:.0}% removed)",
-            report.gates_before,
-            report.gates_after,
-            report.reduction() * 100.0
+            outcome.before,
+            outcome.after,
+            (1.0 - outcome.after as f64 / outcome.before as f64) * 100.0
         );
-        network = optimized;
+        if let spacetime::verify::Artifact::Net(optimized) = outcome.artifact {
+            network = optimized;
+        }
     }
     if let Some(save) = save {
         std::fs::write(&save, spacetime::net::network_to_text(&network))
@@ -1020,12 +1026,18 @@ fn record_probed(
         match form {
             TraceForm::Net(compiled) => {
                 compiled
-                    .run_probed(volley.times(), recorder)
+                    .run_instrumented(volley.times(), recorder, &mut NullMetrics)
                     .map_err(|e| format!("volley {index}: {e}"))?;
             }
             TraceForm::Grl(netlist) => {
                 GrlSim::new()
-                    .run_probed(netlist, volley.times(), recorder)
+                    .run_instrumented(
+                        netlist,
+                        volley.times(),
+                        &mut GrlScratch::default(),
+                        recorder,
+                        &mut NullMetrics,
+                    )
                     .map_err(|e| format!("volley {index}: {e}"))?;
             }
             TraceForm::Column(column) => {
@@ -1036,7 +1048,7 @@ fn record_probed(
                         volley.width()
                     ));
                 }
-                column.eval_probed(volley, recorder);
+                column.eval_instrumented(volley, recorder, &mut NullMetrics);
             }
         }
     }
@@ -1164,7 +1176,14 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         let evaluator = threads.map_or_else(BatchEvaluator::new, BatchEvaluator::with_threads);
         let mut registry = MetricsRegistry::new();
         evaluator
-            .eval_metered(&artifact, &volleys, &mut registry)
+            .eval_instrumented(
+                &artifact,
+                &volleys,
+                &mut NullProbe,
+                &mut registry,
+                &mut NullTracer,
+                SpanId::NONE,
+            )
             .map_err(|e| format!("{path}: {e}"))?;
         let families = registry.counters().count() + registry.histograms().count();
         let rendered = MetricsSnapshot::from_registry(&registry).to_prom_text();
@@ -1191,7 +1210,14 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     // per-chunk, and stage timings to the same stream.
     let evaluator = threads.map_or_else(BatchEvaluator::new, BatchEvaluator::with_threads);
     evaluator
-        .eval_probed(&artifact, &volleys, &mut recorder)
+        .eval_instrumented(
+            &artifact,
+            &volleys,
+            &mut recorder,
+            &mut NullMetrics,
+            &mut NullTracer,
+            SpanId::NONE,
+        )
         .map_err(|e| format!("{path}: {e}"))?;
 
     let events = recorder.events();
@@ -1757,7 +1783,14 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let evaluator = threads.map_or_else(BatchEvaluator::new, BatchEvaluator::with_threads);
     let eval_span = tracer.begin("batch.eval", SpanId::NONE);
     evaluator
-        .eval_traced(&artifact, &volleys, &mut tracer, eval_span)
+        .eval_instrumented(
+            &artifact,
+            &volleys,
+            &mut NullProbe,
+            &mut NullMetrics,
+            &mut tracer,
+            eval_span,
+        )
         .map_err(|e| format!("{path}: {e}"))?;
     tracer.end(eval_span);
 

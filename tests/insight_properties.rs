@@ -15,6 +15,7 @@ use proptest::prelude::*;
 use spacetime::batch::{BatchEvaluator, CompiledArtifact};
 use spacetime::core::{Time, Volley};
 use spacetime::insight::{diff_gate_runs, eval_graph, why, SpikeDb};
+use spacetime::metrics::NullMetrics;
 use spacetime::net::lint::to_lint_graph;
 use spacetime::net::{network_to_text, parse_network, EventSim, Network, NetworkBuilder};
 use spacetime::obs::Recorder;
@@ -74,7 +75,9 @@ fn record_db(network: &Network, volleys: &[Vec<Time>]) -> SpikeDb {
     let mut recorder = Recorder::new();
     for (index, volley) in volleys.iter().enumerate() {
         recorder.begin_volley(index);
-        compiled.run_probed(volley, &mut recorder).expect("run");
+        compiled
+            .run_instrumented(volley, &mut recorder, &mut NullMetrics)
+            .expect("run");
     }
     SpikeDb::from_events_with_dropped(recorder.events(), recorder.dropped())
 }

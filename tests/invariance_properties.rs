@@ -18,16 +18,23 @@
 //! otherwise, so the byte walk, the lane path and the volley path all
 //! run.
 //!
+//! Both properties also hold through the batch engine, at one and two
+//! worker threads, for every artifact kind: tables, networks, GRL
+//! netlists, one-neuron columns and kernel plans of neurons, and
+//! networks, GRL netlists and kernel plans of constant-free networks.
+//!
 //! Delays of 248–254 put `lane_input_limit` inside the shifted domain,
-//! so shifts push packets from the lane path onto the scalar one. A
+//! so shifts push packets from the lane path onto the scalar one, and
+//! kernel batches from the SWAR path onto the scalar fallback. A
 //! network with a finite constant must report `false` (a concrete
 //! violation is pinned below), and the GRL and column evaluators keep
-//! the default `false` until a test here covers them.
+//! the default `false`: opting them in changes what proofs cost.
 
 mod common;
 
 use common::arbitrary::{arb_network, arb_neuron};
 use proptest::prelude::*;
+use spacetime::batch::{BatchEvaluator, CompiledArtifact};
 use spacetime::core::{enumerate_inputs, lane, FunctionTable, Time, Volley};
 use spacetime::grl::compile_network;
 use spacetime::kernel::{ByteBlock, MAX_PACKET};
@@ -56,18 +63,27 @@ fn outputs(evaluator: &dyn Evaluator, volleys: &[Volley]) -> Vec<Volley> {
 /// The first volley `x` of the window-4 domain and shift `c` in `1..=4`
 /// with `f(x + c) != f(x) + c`, if there is one.
 fn shift_violation(evaluator: &dyn Evaluator) -> Option<(Volley, u64)> {
-    let domain: Vec<Volley> = enumerate_inputs(evaluator.input_width(), WINDOW)
-        .map(Volley::new)
-        .collect();
-    let unshifted = outputs(evaluator, &domain);
+    shift_violation_of(evaluator.input_width(), &|volleys| {
+        outputs(evaluator, volleys)
+    })
+}
+
+/// [`shift_violation`] for a function of width `width` evaluated by
+/// `eval`.
+fn shift_violation_of(width: usize, eval: Eval<'_>) -> Option<(Volley, u64)> {
+    let domain: Vec<Volley> = enumerate_inputs(width, WINDOW).map(Volley::new).collect();
+    let unshifted = eval(&domain);
     (1..=WINDOW).find_map(|c| {
         let shifted: Vec<Volley> = domain.iter().map(|x| x.shift(c)).collect();
-        let outputs = outputs(evaluator, &shifted);
+        let outputs = eval(&shifted);
         (0..domain.len())
             .find(|&i| outputs[i] != unshifted[i].shift(c))
             .map(|i| (domain[i].clone(), c))
     })
 }
+
+/// One way of evaluating a batch of volleys.
+type Eval<'a> = &'a dyn Fn(&[Volley]) -> Vec<Volley>;
 
 /// Evaluates `volleys` 256 at a time, each packet through `eval_lanes`
 /// when all of its times fit a lane byte and the evaluator takes it as
@@ -105,10 +121,20 @@ const LATE_MOVES: [fn(u64, u64) -> Time; 4] = [
 /// `t` and moved volley `x'` with `f(x')[k] != t`, where `x'` moves every
 /// input spike of `x` later than `t` by one of [`LATE_MOVES`].
 fn causality_violation(evaluator: &dyn Evaluator) -> Option<(Volley, usize, Volley)> {
-    let domain: Vec<Volley> = enumerate_inputs(evaluator.input_width(), WINDOW)
-        .map(Volley::new)
-        .collect();
-    let original = outputs(evaluator, &domain);
+    causality_violation_of(
+        evaluator.input_width(),
+        &[&|volleys| outputs(evaluator, volleys), &|volleys| {
+            lane_outputs(evaluator, volleys)
+        }],
+    )
+}
+
+/// [`causality_violation`] for a function of width `width`, with the
+/// moved volleys evaluated by each of `evals` and the domain by the
+/// first.
+fn causality_violation_of(width: usize, evals: &[Eval<'_>]) -> Option<(Volley, usize, Volley)> {
+    let domain: Vec<Volley> = enumerate_inputs(width, WINDOW).map(Volley::new).collect();
+    let original = evals[0](&domain);
     // Grouped by move, so the lane-sized moves fill whole packets.
     let mut cases = Vec::new();
     for late in LATE_MOVES {
@@ -130,7 +156,7 @@ fn causality_violation(evaluator: &dyn Evaluator) -> Option<(Volley, usize, Voll
         }
     }
     let moved: Vec<Volley> = cases.iter().map(|case| case.3.clone()).collect();
-    for got in [outputs(evaluator, &moved), lane_outputs(evaluator, &moved)] {
+    for got in evals.iter().map(|eval| eval(&moved)) {
         let broken = cases
             .iter()
             .zip(&got)
@@ -207,6 +233,92 @@ proptest! {
         prop_assert_eq!(causality_violation(&NetEvaluator::new(&net)), None, "{}", text);
         let reference = Reference::new(NetEvaluator::new(&net), WINDOW);
         prop_assert_eq!(causality_violation(&reference), None, "{}", text);
+    }
+}
+
+/// Neither property breaks on `artifact` through the batch engine at
+/// one or two worker threads; on failure, names the first violation.
+fn batch_check(name: &str, artifact: &CompiledArtifact) -> Result<(), TestCaseError> {
+    let width = artifact.input_width();
+    for threads in [1, 2] {
+        let eval = |volleys: &[Volley]| {
+            BatchEvaluator::with_threads(threads)
+                .eval(artifact, volleys)
+                .expect("domain volleys evaluate")
+        };
+        if let Some((x, c)) = shift_violation_of(width, &eval) {
+            return Err(TestCaseError::fail(format!(
+                "{name} at {threads} threads: f({x} + {c}) != f({x}) + {c}"
+            )));
+        }
+        if let Some((x, k, moved)) = causality_violation_of(width, &[&eval]) {
+            return Err(TestCaseError::fail(format!(
+                "{name} at {threads} threads: output {k} of {x} moved at {moved}"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// The GRL simulator steps every wire through every cycle, and lowers
+/// an `inc` of `d` ticks to a chain of `d` flip-flops: a debug build
+/// spends tens of seconds on one window-4 domain of a netlist past this
+/// many wires, or of a network with delays near the lane ceiling (which
+/// GRL, having no lane bound, gains nothing from). The batch engine runs
+/// GRL volleys through the same one-volley unit as every other scalar
+/// artifact.
+const GRL_WIRES: usize = 512;
+
+/// The GRL artifact of `net`, when it is cheap enough to simulate over
+/// the shifted domains.
+fn small_grl(net: &Network) -> Option<CompiledArtifact> {
+    let small_delays = net
+        .iter_gates()
+        .all(|(_, kind)| !matches!(kind, GateKind::Inc(d) if d >= 248));
+    let netlist = compile_network(net);
+    (small_delays && netlist.wire_count() <= GRL_WIRES).then(|| CompiledArtifact::from(netlist))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every artifact kind of a neuron is shift invariant and causal
+    /// through the batch engine.
+    #[test]
+    fn batch_artifacts_of_neurons_are_invariant_and_causal(neuron in arb_neuron()) {
+        let network = srm0_network(&neuron);
+        let table = FunctionTable::from_fn(&neuron, 3).unwrap();
+        let column = Column::new(vec![neuron], Inhibition::one_wta());
+        batch_check("table", &CompiledArtifact::from_table(&table))?;
+        batch_check("net", &CompiledArtifact::from_network(&network))?;
+        if let Some(grl) = small_grl(&network) {
+            batch_check("grl", &grl)?;
+        }
+        batch_check("column", &CompiledArtifact::from(column))?;
+        batch_check("kernel", &CompiledArtifact::from_kernel_network(&network))?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Constant-free networks are shift invariant and causal through the
+    /// batch engine, and shifts move their kernel batches across the
+    /// lane bound.
+    #[test]
+    fn batch_artifacts_of_constant_free_networks_are_invariant_and_causal(
+        net in arb_any_network().prop_filter("constant-free", |net| !has_finite_constant(net)),
+    ) {
+        let text = network_to_text(&net);
+        let artifacts = [
+            Some(("net", CompiledArtifact::from_network(&net))),
+            small_grl(&net).map(|grl| ("grl", grl)),
+            Some(("kernel", CompiledArtifact::from_kernel_network(&net))),
+        ];
+        for (name, artifact) in artifacts.into_iter().flatten() {
+            batch_check(name, &artifact)
+                .map_err(|e| TestCaseError::fail(format!("{e}\n{text}")))?;
+        }
     }
 }
 

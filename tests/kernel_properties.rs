@@ -12,12 +12,13 @@ use spacetime::batch::{BatchEvaluator, CompiledArtifact};
 use spacetime::core::{lane, FunctionTable, Time, Volley};
 use spacetime::grl::compile_network;
 use spacetime::kernel::{ByteBlock, Plan, Scratch, MAX_PACKET};
-use spacetime::metrics::MetricsRegistry;
+use spacetime::metrics::{MetricsRegistry, NullMetrics};
 use spacetime::net::sorting::sorting_network;
 use spacetime::net::synth::{synthesize, SynthesisOptions};
 use spacetime::net::NetworkBuilder;
 use spacetime::neuron::structural::srm0_network;
-use spacetime::obs::{ObsEvent, Recorder};
+use spacetime::obs::{NullProbe, ObsEvent, Recorder};
+use spacetime::trace::{NullTracer, SpanId};
 
 fn to_volleys(raw: &[Vec<Time>], width: usize) -> Vec<Volley> {
     raw.iter()
@@ -216,7 +217,7 @@ proptest! {
             let evaluator = BatchEvaluator::with_threads(threads);
 
             let mut sink = MetricsRegistry::new();
-            let metered = evaluator.eval_metered(&artifact, &volleys, &mut sink).unwrap();
+            let metered = evaluator.eval_instrumented(&artifact, &volleys, &mut NullProbe, &mut sink, &mut NullTracer, SpanId::NONE).unwrap();
             prop_assert_eq!(&metered, &plain, "metered, {} threads", threads);
             prop_assert_eq!(sink.counter("batch.volleys"), volleys.len() as u64);
             prop_assert_eq!(
@@ -236,7 +237,7 @@ proptest! {
             }
 
             let mut recorder = Recorder::new();
-            let probed = evaluator.eval_probed(&artifact, &volleys, &mut recorder).unwrap();
+            let probed = evaluator.eval_instrumented(&artifact, &volleys, &mut recorder, &mut NullMetrics, &mut NullTracer, SpanId::NONE).unwrap();
             prop_assert_eq!(&probed, &plain, "probed, {} threads", threads);
             let timed: Vec<usize> = recorder
                 .events()
@@ -267,11 +268,11 @@ proptest! {
         let plan = Plan::from_network(&network);
         let plain = plan.eval(inputs).unwrap();
         let mut sink = MetricsRegistry::new();
-        prop_assert_eq!(&plan.eval_metered(inputs, &mut sink).unwrap(), &plain);
+        prop_assert_eq!(&plan.eval_instrumented(inputs, &mut NullProbe, &mut sink).unwrap(), &plain);
         prop_assert_eq!(sink.counter("kernel.volleys"), 1);
         prop_assert_eq!(sink.counter("kernel.gates"), plan.gate_count() as u64);
         let mut recorder = Recorder::new();
-        prop_assert_eq!(&plan.eval_probed(inputs, &mut recorder).unwrap(), &plain);
+        prop_assert_eq!(&plan.eval_instrumented(inputs, &mut recorder, &mut NullMetrics).unwrap(), &plain);
         // Every recorded firing is a finite-valued gate in plan order.
         let mut last = None;
         for event in recorder.events() {
@@ -311,10 +312,24 @@ fn kernel_error_reports_lowest_index() {
     let mut sink = MetricsRegistry::new();
     let mut recorder = Recorder::new();
     assert!(BatchEvaluator::with_threads(2)
-        .eval_metered(&artifact, &volleys, &mut sink)
+        .eval_instrumented(
+            &artifact,
+            &volleys,
+            &mut NullProbe,
+            &mut sink,
+            &mut NullTracer,
+            SpanId::NONE
+        )
         .is_err());
     assert!(BatchEvaluator::with_threads(2)
-        .eval_probed(&artifact, &volleys, &mut recorder)
+        .eval_instrumented(
+            &artifact,
+            &volleys,
+            &mut recorder,
+            &mut NullMetrics,
+            &mut NullTracer,
+            SpanId::NONE
+        )
         .is_err());
     assert!(sink.is_empty());
     assert!(recorder.is_empty());
@@ -391,11 +406,27 @@ fn lane_budget_boundary_is_exact() {
 
     // The lane batch really took the packet path, the other didn't.
     let mut sink = MetricsRegistry::new();
-    evaluator.eval_metered(&kernel, &inside, &mut sink).unwrap();
+    evaluator
+        .eval_instrumented(
+            &kernel,
+            &inside,
+            &mut NullProbe,
+            &mut sink,
+            &mut NullTracer,
+            SpanId::NONE,
+        )
+        .unwrap();
     assert_eq!(sink.counter("kernel.packets"), 2);
     let mut sink = MetricsRegistry::new();
     evaluator
-        .eval_metered(&kernel, &outside, &mut sink)
+        .eval_instrumented(
+            &kernel,
+            &outside,
+            &mut NullProbe,
+            &mut sink,
+            &mut NullTracer,
+            SpanId::NONE,
+        )
         .unwrap();
     assert_eq!(sink.counter("kernel.packets"), 0);
     assert_eq!(sink.counter("kernel.volleys"), 2);
