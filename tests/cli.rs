@@ -1320,3 +1320,66 @@ fn lint_relational_deny_and_allow_gate_each_sta3xx_code() {
         );
     }
 }
+
+/// Every shipped example through one `spacetime opt` mode, as one
+/// document: a `== <file>` header per example (in file-name order), the
+/// exit code on the next line, then the bytes the run produced — its
+/// stdout, or with `emit` the artifact it wrote.
+fn opt_document(extra: &[&str], emit: bool) -> String {
+    let dir = format!("{}/examples/data", env!("CARGO_MANIFEST_DIR"));
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    let mut doc = String::new();
+    for name in names {
+        // Removed again at once, so a run that writes nothing reads as
+        // an empty artifact.
+        let out_file = TempFile::with_content(&format!("{name}.opt"), "");
+        let _ = std::fs::remove_file(&out_file.0);
+        let path = example(&name);
+        let mut args = vec!["opt", path.as_str()];
+        args.extend_from_slice(extra);
+        if emit {
+            args.extend_from_slice(&["--emit", out_file.to_str()]);
+        }
+        let out = bin().args(&args).output().unwrap();
+        let code = out.status.code().unwrap();
+        doc.push_str(&format!("== {name}\nexit {code}\n"));
+        if emit {
+            doc.push_str(&std::fs::read_to_string(&out_file.0).unwrap_or_default());
+        } else {
+            doc.push_str(&String::from_utf8_lossy(&out.stdout));
+        }
+    }
+    doc
+}
+
+/// `spacetime opt`'s text, `--json` and `--emit` outputs and exit codes
+/// on every shipped example, byte for byte. Regenerate a golden after a
+/// deliberate change with, for the text form,
+///
+/// ```sh
+/// for f in examples/data/*; do
+///   ./target/release/spacetime opt "$f" > out.txt 2>/dev/null
+///   printf '== %s\nexit %s\n' "${f##*/}" "$?"; cat out.txt
+/// done > tests/golden/opt_text.txt
+/// ```
+///
+/// adding `--json` for `opt_json.txt`, and `--check --emit out.txt`
+/// (printing the written file) for `opt_emit.txt`.
+#[test]
+fn opt_outputs_match_the_committed_goldens() {
+    for (extra, emit, golden) in [
+        (&[][..], false, include_str!("golden/opt_text.txt")),
+        (&["--json"][..], false, include_str!("golden/opt_json.txt")),
+        (&["--check"][..], true, include_str!("golden/opt_emit.txt")),
+    ] {
+        let doc = opt_document(extra, emit);
+        assert_eq!(
+            doc, golden,
+            "spacetime opt {extra:?} drifted from its golden"
+        );
+    }
+}
