@@ -2,11 +2,12 @@
 //!
 //! The build environment cannot reach crates.io, so this workspace vendors
 //! a small property-testing runtime with the same *surface* as the parts
-//! of proptest its test suites use: the [`Strategy`] trait with
-//! `prop_map` / `prop_filter` / `prop_recursive` / `boxed`, range, tuple
-//! and [`Just`] strategies, `prop::collection::vec`, `prop::option::weighted`,
-//! weighted [`prop_oneof!`], and the [`proptest!`] / `prop_assert*` macros
-//! backed by a deterministic seeded runner.
+//! of proptest its test suites use: the [`Strategy`](strategy::Strategy)
+//! trait with `prop_map` / `prop_filter` / `prop_recursive` / `boxed`,
+//! range, tuple and [`Just`](strategy::Just) strategies,
+//! `prop::collection::vec`, `prop::option::weighted`, weighted
+//! [`prop_oneof!`], and the [`proptest!`] / `prop_assert*` macros backed
+//! by a deterministic seeded runner.
 //!
 //! Differences from upstream, deliberately accepted:
 //!

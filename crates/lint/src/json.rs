@@ -47,7 +47,7 @@ fn escape_into(out: &mut String, s: &str) {
 
 impl Report {
     /// Renders the report as a JSON document (the shape documented in
-    /// [`crate::json`]).
+    /// `docs/lint.md`, § JSON shape).
     #[must_use]
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;

@@ -1,7 +1,7 @@
 //! The relational spike-time engine: a zone (difference-bound) domain
 //! over `N0^∞`.
 //!
-//! The [`interval`](crate::interval) domain knows, per wire, a finite
+//! The [`interval`] domain knows, per wire, a finite
 //! firing window `[lo, hi]` plus possible silence — but nothing about
 //! *differences* between wires, and the paper's core timing arguments
 //! are relational: § IV's synchronization windows, Fig. 15's τ-WTA

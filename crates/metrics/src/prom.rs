@@ -1,6 +1,6 @@
 //! Prometheus text-format export.
 //!
-//! [`MetricsSnapshot`] freezes a [`MetricsRegistry`](crate::MetricsRegistry)
+//! [`MetricsSnapshot`] freezes a [`MetricsRegistry`]
 //! into an ordered, render-ready form; [`MetricsSnapshot::to_prom_text`]
 //! emits the Prometheus exposition format (text version 0.0.4): one
 //! `counter` family per counter and one `histogram` family (cumulative

@@ -294,6 +294,21 @@ impl NetworkBuilder {
         NetworkBuilder::default()
     }
 
+    /// A builder holding the first `len` gates of `network` (all of them
+    /// if it has fewer), so a rewrite that reproduced that prefix can
+    /// go on from where it first departs. Later inputs are numbered
+    /// after the prefix's, as they would be had the prefix been built
+    /// here.
+    #[must_use]
+    pub fn from_prefix(network: &Network, len: usize) -> NetworkBuilder {
+        let gates = network.gates[..len.min(network.gates.len())].to_vec();
+        let input_count = gates
+            .iter()
+            .filter(|g| matches!(g.kind, GateKind::Input(_)))
+            .count();
+        NetworkBuilder { gates, input_count }
+    }
+
     fn check(&self, id: GateId) {
         assert!(
             id.0 < self.gates.len(),

@@ -1,13 +1,17 @@
 //! The verified pass manager.
 //!
 //! A pass is a *candidate generator*: it proposes a rewritten artifact,
-//! and the manager only commits it after `st-verify` bounded
-//! equivalence proves the candidate agrees with the current artifact on
-//! every normalized volley in the window. A refuted candidate is
-//! dropped on the floor — the pipeline continues from the last accepted
-//! artifact — and the refutation (with its minimal counterexample
-//! volley) lands in the outcome's [`Report`] as an error, so
-//! `spacetime opt --check` fails loudly instead of shipping a miscompile.
+//! or none when it would reproduce its input (recorded
+//! [`Verdict::Unchanged`], at no proof cost), and the manager only
+//! commits a candidate after `st-verify` bounded equivalence proves it
+//! agrees with the current artifact on every normalized volley in the
+//! window. A refuted candidate is dropped on the floor — the pipeline
+//! continues from the last accepted artifact — and the refutation (with
+//! its minimal counterexample volley) lands in the outcome's [`Report`]
+//! as an error, so `spacetime opt --check` fails loudly instead of
+//! shipping a miscompile. The report holds nothing else: the STA2xx
+//! opportunity tier ([`crate::analyze`]) is computed by its one
+//! renderer, `spacetime opt`, on the artifact it reads.
 //!
 //! When the exhaustive domain `(window + 2)^width` would exceed the
 //! checker's ceiling, the manager first shrinks the window, and if even
@@ -37,7 +41,6 @@ use st_verify::equiv::{check_equiv_traced, check_sampled, feasible_window, Equiv
 use st_verify::eval::{ByteBlock, Evaluator, NetEvaluator, Reference, TableEvaluator};
 use st_verify::{required_window, Artifact};
 
-use crate::analyze;
 use crate::passes;
 
 /// The default bounded-equivalence window, matching `st-verify`'s.
@@ -126,8 +129,8 @@ impl Pass {
 #[derive(Debug, Clone, Default)]
 pub struct OptOptions {
     /// The passes to run, in order. `None` runs the default pipeline
-    /// for the artifact kind: fold → fuse → share → sweep for networks,
-    /// minimize for tables.
+    /// for the artifact kind: fold → relational fold → fuse → share →
+    /// sweep for networks, minimize for tables.
     pub passes: Option<Vec<Pass>>,
     /// The bounded-equivalence window gating every pass. `None` picks
     /// `max(4, window the artifact's rows require)`.
@@ -189,8 +192,9 @@ pub struct OptOutcome {
     pub window: u64,
     /// One record per pass, in execution order.
     pub records: Vec<PassRecord>,
-    /// STA2xx opportunities found on the *original* artifact, plus one
-    /// error per rejected pass.
+    /// One error per rejected pass, in pass order. The STA2xx
+    /// opportunities are not here: `spacetime opt`, which renders them,
+    /// finds them on its input with [`crate::analyze_network`].
     pub report: Report,
 }
 
@@ -402,7 +406,7 @@ pub fn optimize_network_traced<T: Tracer>(
     ];
     let pipeline = options.passes.clone().unwrap_or(default);
 
-    let mut report = analyze::analyze_network(network);
+    let mut report = Report::new();
     let mut current = network.clone();
     // Stored over the window the proofs exhaust; a run that can only
     // sample has a domain too large to store, and evaluates it live.
@@ -424,29 +428,22 @@ pub fn optimize_network_traced<T: Tracer>(
             Pass::EliminateDead => passes::eliminate_dead(&current),
             // Minimization is a table pass; on a network it proposes
             // nothing.
-            Pass::MinimizeTable => current.clone(),
+            Pass::MinimizeTable => None,
         };
-        let (verdict, after) = if candidate == current {
-            (Verdict::Unchanged, before)
-        } else {
-            let v = gate(&reference, &NetSide::new(&candidate), window, tracer, span);
-            let after = if matches!(v, Verdict::Rejected(_)) {
-                before
-            } else {
-                candidate.gate_count()
-            };
-            (v, after)
+        let verdict = match &candidate {
+            None => Verdict::Unchanged,
+            Some(c) => gate(&reference, &NetSide::new(c), window, tracer, span),
         };
         tracer.end(span);
-        match &verdict {
-            Verdict::Rejected(why) => report.push(rejection_diagnostic(pass, why)),
-            Verdict::Unchanged => {}
-            _ => current = candidate,
+        match (&verdict, candidate) {
+            (Verdict::Proved(_) | Verdict::Sampled(_), Some(c)) => current = c,
+            (Verdict::Rejected(why), _) => report.push(rejection_diagnostic(pass, why)),
+            _ => {}
         }
         records.push(PassRecord {
             pass,
             before,
-            after,
+            after: current.gate_count(),
             verdict,
             wall_nanos: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
         });

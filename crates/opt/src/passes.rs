@@ -1,16 +1,17 @@
-//! The rewrite passes: each takes an artifact and returns a candidate
+//! The rewrite passes: each takes an artifact and proposes a candidate
 //! the pass manager then gates behind `st-verify` bounded equivalence.
 //!
 //! Every network pass follows the same rebuild idiom: lower to the lint
-//! IR, run the relevant [dataflow domain](crate::dataflow), then
-//! reconstruct through [`NetworkBuilder`] with the primary inputs
-//! pre-created (so input lines keep their order and count) and a
-//! rewrite map from old gates to new. The passes are deliberately
-//! *independent* — constant folding does not share, sharing does not
-//! sweep — because each is individually verify-gated; composition is
-//! the pass manager's job, and the default pipeline orders them so each
-//! pass's garbage is the next one's food (folding strands gates, the
-//! sweep collects them).
+//! IR, run the relevant [dataflow domain](crate::dataflow), then emit
+//! the rewritten gates in order through a copy-on-write `Rebuild`,
+//! primary inputs first (so input lines keep their order and count),
+//! with a map from old gates to new. A pass that would reproduce its
+//! input returns `None`, no candidate, having built nothing. The passes
+//! are deliberately *independent* — constant folding does not share,
+//! sharing does not sweep — because each is individually verify-gated;
+//! composition is the pass manager's job, and the default pipeline
+//! orders them so each pass's garbage is the next one's food (folding
+//! strands gates, the sweep collects them).
 
 use std::collections::HashMap;
 
@@ -20,34 +21,92 @@ use st_net::{GateId, GateKind, Network, NetworkBuilder};
 
 use crate::dataflow::{solve, IntervalDomain, LivenessDomain, ValueNumberDomain};
 
-/// A rebuild in progress: the builder with pre-created inputs and the
-/// old-gate → new-gate map.
-struct Rebuild {
-    b: NetworkBuilder,
+/// A copy-on-write rebuild of one network: the gates a pass emits, in
+/// order, and the old-gate → new-gate map.
+///
+/// While every emitted gate equals the input's gate at the same index
+/// (same kind, same sources), the emitted gates are a prefix of the
+/// input and nothing is built. At the first difference a builder starts
+/// from that matched prefix and takes every later gate. So
+/// [`Rebuild::finish`] returns `None` exactly when the rebuilt network
+/// would equal the input (`Network: Eq`).
+struct Rebuild<'a> {
+    network: &'a Network,
+    /// How many emitted gates equal the input's first gates; fixed once
+    /// `built` starts.
+    matched: usize,
+    /// The builder, from the first emitted gate that differs on.
+    built: Option<NetworkBuilder>,
     inputs: Vec<GateId>,
-    rewrite: HashMap<usize, GateId>,
+    /// Old gate id → new gate id. A gate the pass drops keeps a
+    /// placeholder that no kept gate reads.
+    rewrite: Vec<GateId>,
     consts: HashMap<Option<u64>, GateId>,
 }
 
-impl Rebuild {
-    fn new(network: &Network) -> Rebuild {
-        let mut b = NetworkBuilder::new();
-        let inputs = b.inputs(network.input_count());
-        Rebuild {
-            b,
-            inputs,
-            rewrite: HashMap::new(),
+impl<'a> Rebuild<'a> {
+    fn new(network: &'a Network) -> Rebuild<'a> {
+        let mut r = Rebuild {
+            network,
+            matched: 0,
+            built: None,
+            inputs: Vec::with_capacity(network.input_count()),
+            rewrite: vec![GateId::from_index(usize::MAX); network.gate_count()],
             consts: HashMap::new(),
+        };
+        for n in 0..network.input_count() {
+            let g = r.emit(GateKind::Input(n), &[]);
+            r.inputs.push(g);
         }
+        r
     }
 
     /// The new gate for an old source id (which must already be mapped).
     fn src(&self, id: GateId) -> GateId {
-        self.rewrite[&id.index()]
+        self.rewrite[id.index()]
     }
 
     fn map(&mut self, id: GateId, new: GateId) {
-        self.rewrite.insert(id.index(), new);
+        self.rewrite[id.index()] = new;
+    }
+
+    /// Emits one gate: the input's own gate at this index while the
+    /// rebuild still reproduces the input, a built gate from the first
+    /// difference on.
+    fn emit(&mut self, kind: GateKind, sources: &[GateId]) -> GateId {
+        if self.built.is_none() {
+            let id = GateId::from_index(self.matched);
+            if self.network.kind(id) == Ok(kind) && self.network.sources(id) == Ok(sources) {
+                self.matched += 1;
+                return id;
+            }
+        }
+        let b = self
+            .built
+            .get_or_insert_with(|| NetworkBuilder::from_prefix(self.network, self.matched));
+        let made = match kind {
+            GateKind::Input(_) => Ok(b.input()),
+            GateKind::Const(t) => Ok(b.constant(t)),
+            GateKind::Min => b.min(sources.iter().copied()),
+            GateKind::Max => b.max(sources.iter().copied()),
+            GateKind::Lt => Ok(b.lt(sources[0], sources[1])),
+            GateKind::Inc(d) => Ok(b.inc(sources[0], d)),
+            other => unreachable!("unsupported gate kind {other:?}"),
+        };
+        // Only an empty fan-in fails, and `merge` passes none.
+        made.unwrap_or_else(|_| self.intern_const(Time::INFINITY))
+    }
+
+    fn constant(&mut self, t: Time) -> GateId {
+        self.emit(GateKind::Const(t), &[])
+    }
+
+    fn lt(&mut self, a: GateId, b: GateId) -> GateId {
+        self.emit(GateKind::Lt, &[a, b])
+    }
+
+    fn inc(&mut self, a: GateId, d: u64) -> GateId {
+        self.emit(GateKind::Inc(d), &[a])
     }
 
     /// Interns a constant so folding many gates to one value costs one
@@ -56,35 +115,42 @@ impl Rebuild {
         if let Some(&g) = self.consts.get(&t.value()) {
             return g;
         }
-        let g = self.b.constant(t);
+        let g = self.constant(t);
         self.consts.insert(t.value(), g);
         g
     }
 
-    /// Builds a `min` over `srcs`. Every caller passes a nonempty
-    /// fan-in; should that invariant ever break, the gate degrades to
-    /// min's identity `∞` — a candidate the manager's verify gate would
-    /// reject rather than ship.
-    fn min(&mut self, srcs: Vec<GateId>) -> GateId {
-        match self.b.min(srcs) {
-            Ok(g) => g,
-            Err(_) => self.intern_const(Time::INFINITY),
+    /// Builds a `min` or `max` (`kind`) over `srcs`, as
+    /// [`NetworkBuilder::min`] would: one source is a wire. Every caller
+    /// passes a nonempty fan-in; should that invariant ever break, the
+    /// gate degrades to min's identity `∞` — a candidate the manager's
+    /// verify gate would reject rather than ship.
+    fn merge(&mut self, kind: GateKind, srcs: &[GateId]) -> GateId {
+        match *srcs {
+            [] => self.intern_const(Time::INFINITY),
+            [only] => only,
+            _ => self.emit(kind, srcs),
         }
     }
 
-    /// Builds a `max` over `srcs`; see [`Rebuild::min`] for the empty
-    /// fan-in posture.
-    fn max(&mut self, srcs: Vec<GateId>) -> GateId {
-        match self.b.max(srcs) {
-            Ok(g) => g,
-            Err(_) => self.intern_const(Time::INFINITY),
+    /// The rebuilt network, or `None` when it would equal the input: every
+    /// input gate was emitted unchanged, in place, and every output line
+    /// maps to itself.
+    fn finish(self) -> Option<Network> {
+        let outputs = self
+            .network
+            .outputs()
+            .iter()
+            .map(|o| self.rewrite[o.index()]);
+        if let Some(b) = self.built {
+            return Some(b.build(outputs));
         }
-    }
-
-    fn finish(self, network: &Network) -> Network {
-        let rewrite = &self.rewrite;
-        self.b
-            .build(network.outputs().iter().map(|o| rewrite[&o.index()]))
+        if self.matched == self.network.gate_count()
+            && outputs.clone().eq(self.network.outputs().iter().copied())
+        {
+            return None;
+        }
+        Some(NetworkBuilder::from_prefix(self.network, self.matched).build(outputs))
     }
 }
 
@@ -95,7 +161,7 @@ impl Rebuild {
 /// identity), and an `lt` whose inhibitor never fires passes its data
 /// source through (`a ≺ ∞ = a`).
 #[must_use]
-pub fn constant_fold(network: &Network) -> Network {
+pub fn constant_fold(network: &Network) -> Option<Network> {
     let graph = st_net::lint::to_lint_graph(network);
     let intervals = solve(&IntervalDomain::free_inputs(), &graph).facts;
     let mut r = Rebuild::new(network);
@@ -121,30 +187,30 @@ pub fn constant_fold(network: &Network) -> Network {
                         .collect();
                     // All-never sources would make the gate itself
                     // never, so `kept` is nonempty here.
-                    r.min(kept)
+                    r.merge(kind, &kept)
                 }
                 GateKind::Max => {
                     let mapped: Vec<GateId> = srcs.iter().map(|&s| r.src(s)).collect();
-                    r.max(mapped)
+                    r.merge(kind, &mapped)
                 }
                 GateKind::Lt => {
                     if intervals[srcs[1].index()].is_never() {
                         r.src(srcs[0])
                     } else {
                         let (a, b) = (r.src(srcs[0]), r.src(srcs[1]));
-                        r.b.lt(a, b)
+                        r.lt(a, b)
                     }
                 }
                 GateKind::Inc(d) => {
                     let s = r.src(srcs[0]);
-                    r.b.inc(s, d)
+                    r.inc(s, d)
                 }
                 other => unreachable!("unsupported gate kind {other:?}"),
             }
         };
         r.map(id, new);
     }
-    r.finish(network)
+    r.finish()
 }
 
 /// Relational constant folding over the [`Zone`] difference-bound
@@ -169,20 +235,16 @@ pub fn constant_fold(network: &Network) -> Network {
 /// pass iterates its single step to a fixpoint (each step only ever
 /// removes gates, so it converges), which also makes it idempotent.
 #[must_use]
-pub fn relational_fold(network: &Network) -> Network {
-    let mut current = network.clone();
+pub fn relational_fold(network: &Network) -> Option<Network> {
+    let mut current = relational_fold_step(network)?;
     while let Some(next) = relational_fold_step(&current) {
-        if next == current {
-            break;
-        }
         current = next;
     }
-    current
+    Some(current)
 }
 
-/// One fold step, or `None` when the graph declines relational analysis
-/// (oversized or degenerate): then the pass proposes nothing and the
-/// manager records "no change".
+/// One fold step, or `None` when it folds nothing or the graph declines
+/// relational analysis (oversized or degenerate).
 fn relational_fold_step(network: &Network) -> Option<Network> {
     let graph = st_net::lint::to_lint_graph(network);
     let zone = Zone::analyze(&graph, Interval::free())?;
@@ -226,7 +288,7 @@ fn relational_fold_step(network: &Network) -> Option<Network> {
                         r.intern_const(Time::INFINITY)
                     } else {
                         let (a, b) = (r.src(srcs[0]), r.src(srcs[1]));
-                        r.b.lt(a, b)
+                        r.lt(a, b)
                     }
                 }
                 GateKind::Min | GateKind::Max => {
@@ -235,29 +297,25 @@ fn relational_fold_step(network: &Network) -> Option<Network> {
                         .filter(|&i| !dominated(&idxs, i, max_gate))
                         .map(|i| r.src(srcs[i]))
                         .collect();
-                    match (kept.len(), max_gate) {
-                        (1, _) => kept[0],
-                        (_, false) => r.min(kept),
-                        (_, true) => r.max(kept),
-                    }
+                    r.merge(kind, &kept)
                 }
                 GateKind::Inc(d) => {
                     let s = r.src(srcs[0]);
-                    r.b.inc(s, d)
+                    r.inc(s, d)
                 }
                 other => unreachable!("unsupported gate kind {other:?}"),
             }
         };
         r.map(id, new);
     }
-    Some(r.finish(network))
+    r.finish()
 }
 
 /// Dead-gate elimination through the backward liveness domain: gates
 /// with no path to an output are dropped. Primary inputs are always
 /// kept — a network's input width is part of its signature.
 #[must_use]
-pub fn eliminate_dead(network: &Network) -> Network {
+pub fn eliminate_dead(network: &Network) -> Option<Network> {
     let graph = st_net::lint::to_lint_graph(network);
     let live = solve(&LivenessDomain, &graph).facts;
     let mut r = Rebuild::new(network);
@@ -274,23 +332,22 @@ pub fn eliminate_dead(network: &Network) -> Network {
         };
         let mapped: Vec<GateId> = srcs.iter().map(|&s| r.src(s)).collect();
         let new = match kind {
-            GateKind::Const(t) => r.b.constant(t),
-            GateKind::Min => r.min(mapped),
-            GateKind::Max => r.max(mapped),
-            GateKind::Lt => r.b.lt(mapped[0], mapped[1]),
-            GateKind::Inc(d) => r.b.inc(mapped[0], d),
+            GateKind::Const(t) => r.constant(t),
+            GateKind::Min | GateKind::Max => r.merge(kind, &mapped),
+            GateKind::Lt => r.lt(mapped[0], mapped[1]),
+            GateKind::Inc(d) => r.inc(mapped[0], d),
             other => unreachable!("unsupported gate kind {other:?}"),
         };
         r.map(id, new);
     }
-    r.finish(network)
+    r.finish()
 }
 
 /// Hash-consed common-subexpression sharing: gates in the same
 /// value-number class (congruent expressions, commutative operands
 /// sorted) collapse onto the first member of the class.
 #[must_use]
-pub fn share_subexpressions(network: &Network) -> Network {
+pub fn share_subexpressions(network: &Network) -> Option<Network> {
     let graph = st_net::lint::to_lint_graph(network);
     let numbers = solve(&ValueNumberDomain::new(), &graph).facts;
     let mut by_class: HashMap<usize, GateId> = HashMap::new();
@@ -308,11 +365,10 @@ pub fn share_subexpressions(network: &Network) -> Network {
                 };
                 let mapped: Vec<GateId> = srcs.iter().map(|&s| r.src(s)).collect();
                 match kind {
-                    GateKind::Const(t) => r.b.constant(t),
-                    GateKind::Min => r.min(mapped),
-                    GateKind::Max => r.max(mapped),
-                    GateKind::Lt => r.b.lt(mapped[0], mapped[1]),
-                    GateKind::Inc(d) => r.b.inc(mapped[0], d),
+                    GateKind::Const(t) => r.constant(t),
+                    GateKind::Min | GateKind::Max => r.merge(kind, &mapped),
+                    GateKind::Lt => r.lt(mapped[0], mapped[1]),
+                    GateKind::Inc(d) => r.inc(mapped[0], d),
                     other => unreachable!("unsupported gate kind {other:?}"),
                 }
             };
@@ -321,7 +377,7 @@ pub fn share_subexpressions(network: &Network) -> Network {
         };
         r.map(id, new);
     }
-    r.finish(network)
+    r.finish()
 }
 
 /// Delay-chain fusion at the network level: every `inc` in a chain is
@@ -329,7 +385,7 @@ pub fn share_subexpressions(network: &Network) -> Network {
 /// and a zero-delay `inc` becomes a wire. Stranded intermediate stages
 /// are left for [`eliminate_dead`].
 #[must_use]
-pub fn fuse_delay_chains(network: &Network) -> Network {
+pub fn fuse_delay_chains(network: &Network) -> Option<Network> {
     // (original root id, total delay) per inc gate; gates are stored in
     // topological order by construction, so one forward scan resolves
     // chains transitively.
@@ -338,7 +394,7 @@ pub fn fuse_delay_chains(network: &Network) -> Network {
     for (id, kind) in network.iter_gates() {
         let new = match kind {
             GateKind::Input(n) => r.inputs[n],
-            GateKind::Const(t) => r.b.constant(t),
+            GateKind::Const(t) => r.constant(t),
             GateKind::Inc(d) => {
                 let Ok(srcs) = network.sources(id) else {
                     continue; // unreachable: `id` came from `iter_gates`
@@ -354,7 +410,7 @@ pub fn fuse_delay_chains(network: &Network) -> Network {
                     r.src(root)
                 } else {
                     let mapped = r.src(root);
-                    r.b.inc(mapped, total)
+                    r.inc(mapped, total)
                 }
             }
             _ => {
@@ -363,16 +419,15 @@ pub fn fuse_delay_chains(network: &Network) -> Network {
                 };
                 let mapped: Vec<GateId> = srcs.iter().map(|&s| r.src(s)).collect();
                 match kind {
-                    GateKind::Min => r.min(mapped),
-                    GateKind::Max => r.max(mapped),
-                    GateKind::Lt => r.b.lt(mapped[0], mapped[1]),
+                    GateKind::Min | GateKind::Max => r.merge(kind, &mapped),
+                    GateKind::Lt => r.lt(mapped[0], mapped[1]),
                     other => unreachable!("unsupported gate kind {other:?}"),
                 }
             }
         };
         r.map(id, new);
     }
-    r.finish(network)
+    r.finish()
 }
 
 /// Theorem-1 minterm minimization: drops every row shadowed by another
@@ -469,7 +524,7 @@ mod tests {
         let inner = b.min2(c3, c5);
         let outer = b.min2(x, inner);
         let network = b.build([outer]);
-        let folded = constant_fold(&network);
+        let folded = constant_fold(&network).unwrap();
         assert!(folded.gate_count() < network.gate_count());
         assert_equiv(&network, &folded, 6);
     }
@@ -484,7 +539,7 @@ mod tests {
         let m = b.min2(ins[0], never);
         let l = b.lt(ins[0], never);
         let network = b.build([m, l]);
-        let folded = constant_fold(&network);
+        let folded = constant_fold(&network).unwrap();
         assert_equiv(&network, &folded, 4);
         // Both outputs collapse to the input wire: only the pre-created
         // inputs and the interned ∞ survive as gates.
@@ -503,8 +558,8 @@ mod tests {
         let b2 = b.inc(b1, 1);
         let l = b.lt(a, b2);
         let network = b.build([l]);
-        assert_eq!(constant_fold(&network).gate_count(), network.gate_count());
-        let folded = eliminate_dead(&relational_fold(&network));
+        assert_eq!(constant_fold(&network), None);
+        let folded = eliminate_dead(&relational_fold(&network).unwrap()).unwrap();
         assert_equiv(&network, &folded, 5);
         // Only the input and the interned ∞ survive.
         assert_eq!(folded.gate_count(), 2, "{folded:?}");
@@ -518,7 +573,7 @@ mod tests {
         let d = b.inc(x, 3);
         let l = b.lt(x, d);
         let network = b.build([l]);
-        let folded = eliminate_dead(&relational_fold(&network));
+        let folded = eliminate_dead(&relational_fold(&network).unwrap()).unwrap();
         assert_equiv(&network, &folded, 6);
         assert_eq!(folded.gate_count(), 1, "just the input wire");
     }
@@ -534,7 +589,7 @@ mod tests {
         let m = b.min([x, d1, d2]).unwrap();
         let mx = b.max2(x, d1);
         let network = b.build([m, mx]);
-        let folded = eliminate_dead(&relational_fold(&network));
+        let folded = eliminate_dead(&relational_fold(&network).unwrap()).unwrap();
         assert_equiv(&network, &folded, 5);
         // min collapses to the bare input; max collapses to d1.
         assert_eq!(folded.gate_count(), 2, "{folded:?}");
@@ -550,7 +605,7 @@ mod tests {
         let d2 = b.inc(x, 1);
         let m = b.min2(d1, d2);
         let network = b.build([m]);
-        let folded = eliminate_dead(&relational_fold(&network));
+        let folded = eliminate_dead(&relational_fold(&network).unwrap()).unwrap();
         assert_equiv(&network, &folded, 4);
         assert_eq!(folded.gate_count(), 2, "input + one inc");
     }
@@ -562,9 +617,7 @@ mod tests {
         let ins = b.inputs(2);
         let m = b.min2(ins[0], ins[1]);
         let network = b.build([m]);
-        let folded = relational_fold(&network);
-        assert_eq!(folded.gate_count(), network.gate_count());
-        assert_equiv(&network, &folded, 4);
+        assert_eq!(relational_fold(&network), None);
     }
 
     #[test]
@@ -575,7 +628,7 @@ mod tests {
         let _orphan = b.inc(m, 5);
         let _orphan2 = b.max2(ins[0], ins[1]);
         let network = b.build([m]);
-        let swept = eliminate_dead(&network);
+        let swept = eliminate_dead(&network).unwrap();
         assert_eq!(swept.gate_count(), 3);
         assert_eq!(swept.input_count(), 2);
         assert_equiv(&network, &swept, 3);
@@ -591,7 +644,7 @@ mod tests {
         let d2 = b.inc(m2, 2);
         let x = b.max2(d1, d2);
         let network = b.build([x]);
-        let shared = share_subexpressions(&network);
+        let shared = share_subexpressions(&network).unwrap();
         assert_equiv(&network, &shared, 3);
         // min dup collapses, then the incs become congruent... in one
         // pass: m2 shares m1, d2's key then matches d1. The max keeps
@@ -609,10 +662,115 @@ mod tests {
         let w = b.inc(x, 0);
         let m = b.min2(d3, w);
         let network = b.build([m]);
-        let fused = eliminate_dead(&fuse_delay_chains(&network));
+        let fused = eliminate_dead(&fuse_delay_chains(&network).unwrap()).unwrap();
         assert_equiv(&network, &fused, 8);
         // input + one fused inc(6) + the min; the wire vanished.
         assert_eq!(fused.gate_count(), 3);
+    }
+
+    // The copy-on-write rebuild returns `Some` exactly when the rebuilt
+    // network differs from its input: each case below pins the candidate
+    // against a network built by hand, and a pass over that result (or
+    // over an input with nothing to rewrite) against `None`.
+
+    #[test]
+    fn rebuild_moves_late_inputs_to_the_front() {
+        let mut b = NetworkBuilder::new();
+        let c = b.constant(t(3));
+        let x = b.input();
+        let m = b.min2(x, c);
+        let network = b.build([m]);
+        let mut b = NetworkBuilder::new();
+        let x = b.input();
+        let c = b.constant(t(3));
+        let m = b.min2(x, c);
+        let expected = b.build([m]);
+        assert_eq!(eliminate_dead(&network), Some(expected.clone()));
+        assert_eq!(eliminate_dead(&expected), None);
+    }
+
+    #[test]
+    fn rebuild_sees_constants_interned_onto_one_gate() {
+        let mut b = NetworkBuilder::new();
+        let x = b.input();
+        let c = b.constant(t(3));
+        let dup = b.constant(t(3));
+        let m = b.min2(x, c);
+        let n = b.max2(x, dup);
+        let network = b.build([m, n]);
+        let mut b = NetworkBuilder::new();
+        let x = b.input();
+        let c = b.constant(t(3));
+        let m = b.min2(x, c);
+        let n = b.max2(x, c);
+        let expected = b.build([m, n]);
+        assert_eq!(constant_fold(&network), Some(expected.clone()));
+        assert_eq!(constant_fold(&expected), None);
+    }
+
+    #[test]
+    fn rebuild_drops_a_dead_trailing_gate() {
+        let mut b = NetworkBuilder::new();
+        let ins = b.inputs(2);
+        let m = b.min2(ins[0], ins[1]);
+        let _dead = b.inc(m, 5);
+        let network = b.build([m]);
+        let mut b = NetworkBuilder::new();
+        let ins = b.inputs(2);
+        let m = b.min2(ins[0], ins[1]);
+        let expected = b.build([m]);
+        assert_eq!(eliminate_dead(&network), Some(expected.clone()));
+        assert_eq!(eliminate_dead(&expected), None);
+    }
+
+    #[test]
+    fn rebuild_follows_a_gate_mapped_onto_an_earlier_equal_one() {
+        // m2 shares m1, so the inc after it lands one index earlier.
+        let mut b = NetworkBuilder::new();
+        let ins = b.inputs(2);
+        let _m1 = b.min2(ins[0], ins[1]);
+        let m2 = b.min2(ins[1], ins[0]);
+        let d = b.inc(m2, 1);
+        let network = b.build([d]);
+        let mut b = NetworkBuilder::new();
+        let ins = b.inputs(2);
+        let m1 = b.min2(ins[0], ins[1]);
+        let d = b.inc(m1, 1);
+        let expected = b.build([d]);
+        assert_eq!(share_subexpressions(&network), Some(expected.clone()));
+        assert_eq!(share_subexpressions(&expected), None);
+    }
+
+    #[test]
+    fn rebuild_sees_an_output_line_move() {
+        // Sharing maps the second output onto the first one's gate.
+        let mut b = NetworkBuilder::new();
+        let ins = b.inputs(2);
+        let m1 = b.min2(ins[0], ins[1]);
+        let m2 = b.min2(ins[1], ins[0]);
+        let network = b.build([m1, m2]);
+        let mut b = NetworkBuilder::new();
+        let ins = b.inputs(2);
+        let m1 = b.min2(ins[0], ins[1]);
+        let expected = b.build([m1, m1]);
+        assert_eq!(share_subexpressions(&network), Some(expected.clone()));
+        assert_eq!(share_subexpressions(&expected), None);
+
+        // Every gate emitted in place, and only the outputs differ.
+        let mut b = NetworkBuilder::new();
+        let ins = b.inputs(2);
+        let network = b.build([ins[0], ins[1]]);
+        let mut r = Rebuild::new(&network);
+        let (x, y) = (r.inputs[0], r.inputs[1]);
+        r.map(x, x);
+        r.map(y, y);
+        assert_eq!(r.finish(), None);
+        let mut r = Rebuild::new(&network);
+        r.map(x, y);
+        r.map(y, x);
+        let mut b = NetworkBuilder::new();
+        let ins = b.inputs(2);
+        assert_eq!(r.finish(), Some(b.build([ins[1], ins[0]])));
     }
 
     #[test]

@@ -231,8 +231,9 @@ impl Column {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::ArityMismatch`] for the first (lowest-index)
-    /// volley whose width differs from [`Column::input_width`].
+    /// Returns [`st_core::CoreError::ArityMismatch`] for the first
+    /// (lowest-index) volley whose width differs from
+    /// [`Column::input_width`].
     pub fn eval_batch(&self, volleys: &[Volley]) -> Result<Vec<Volley>, st_core::CoreError> {
         volleys
             .iter()

@@ -94,7 +94,7 @@ impl CompiledArtifact {
     }
 
     /// Lowers a network to a GRL netlist (see
-    /// [`compile_network`](st_grl::compile_network)).
+    /// [`st_grl::compile_network`]).
     ///
     /// # Panics
     ///

@@ -888,7 +888,7 @@ fn cmd_verify(args: &[String]) -> Result<bool, String> {
 }
 
 fn cmd_opt(args: &[String]) -> Result<bool, String> {
-    use spacetime::opt::{optimize_artifact, OptOptions, Pass};
+    use spacetime::opt::{analyze_network, optimize_artifact, OptOptions, Pass};
     use spacetime::verify::Artifact;
 
     let mut path = None;
@@ -953,7 +953,16 @@ fn cmd_opt(args: &[String]) -> Result<bool, String> {
             spacetime::tnn::parse_column(&text).map_err(|e| format!("{path}: {e}"))?,
         ),
     };
-    let outcome = optimize_artifact(&artifact, &options)?;
+    let mut outcome = optimize_artifact(&artifact, &options)?;
+    // The STA2xx opportunities on the input come first, then the
+    // optimizer's rejections.
+    let mut report = match &artifact {
+        Artifact::Table(_) => spacetime::lint::Report::new(),
+        Artifact::Net(n) => analyze_network(n),
+        Artifact::Column(c) => analyze_network(&c.to_network()),
+    };
+    report.merge(outcome.report);
+    outcome.report = report;
     if json {
         print!("{}", outcome.report.to_json());
     } else {
