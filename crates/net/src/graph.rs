@@ -603,4 +603,21 @@ mod tests {
         assert_eq!(net.eval(&[t(3)]).unwrap(), vec![t(3)]);
         assert_eq!(net.gate_count(), 2);
     }
+
+    #[test]
+    fn a_builder_from_a_prefix_goes_on_where_the_prefix_ends() {
+        let mut b = NetworkBuilder::new();
+        let x0 = b.input();
+        let _c = b.constant(t(2));
+        let x1 = b.input();
+        let m = b.min2(x0, x1);
+        let net = b.build([m]);
+
+        let mut b = NetworkBuilder::from_prefix(&net, 2);
+        assert_eq!((b.gate_count(), b.input_count()), (2, 1));
+        let x1 = b.input();
+        let m = b.min2(x0, x1);
+        assert_eq!(b.build([m]), net);
+        assert_eq!(NetworkBuilder::from_prefix(&net, 9).build([m]), net);
+    }
 }

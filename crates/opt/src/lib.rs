@@ -19,7 +19,8 @@
 //!   committed, so an unsound rewrite is *rejected with a minimal
 //!   counterexample*, never shipped. [`analyze`] surfaces the same
 //!   facts advisorily as the `STA201`–`STA203` diagnostic tier through
-//!   `st-lint`'s `Report` pipeline.
+//!   `st-lint`'s `Report` pipeline; the pipeline does not run it, its
+//!   one renderer (`spacetime opt`) does, on its input.
 //!
 //! The `spacetime opt` CLI subcommand and the CI opt-gate are thin
 //! wrappers over [`optimize_artifact`]; `docs/opt.md` is the user-level

@@ -70,10 +70,21 @@ impl<'a> Rebuild<'a> {
         self.rewrite[id.index()] = new;
     }
 
-    /// Emits one gate: the input's own gate at this index while the
-    /// rebuild still reproduces the input, a built gate from the first
-    /// difference on.
+    /// Emits one gate of `kind` over `sources` as [`NetworkBuilder`]
+    /// builds it: the input's own gate at this index while the rebuild
+    /// still reproduces the input, a built gate from the first difference
+    /// on. A `min` or `max` of one source is that source. Every caller
+    /// gives a merge at least one source; should that invariant ever
+    /// break, the gate degrades to min's identity `∞` — a candidate the
+    /// manager's verify gate would reject rather than ship.
     fn emit(&mut self, kind: GateKind, sources: &[GateId]) -> GateId {
+        if matches!(kind, GateKind::Min | GateKind::Max) {
+            match *sources {
+                [] => return self.intern_const(Time::INFINITY),
+                [only] => return only,
+                _ => {}
+            }
+        }
         if self.built.is_none() {
             let id = GateId::from_index(self.matched);
             if self.network.kind(id) == Ok(kind) && self.network.sources(id) == Ok(sources) {
@@ -93,20 +104,8 @@ impl<'a> Rebuild<'a> {
             GateKind::Inc(d) => Ok(b.inc(sources[0], d)),
             other => unreachable!("unsupported gate kind {other:?}"),
         };
-        // Only an empty fan-in fails, and `merge` passes none.
+        // Only an empty fan-in fails, and none reaches here.
         made.unwrap_or_else(|_| self.intern_const(Time::INFINITY))
-    }
-
-    fn constant(&mut self, t: Time) -> GateId {
-        self.emit(GateKind::Const(t), &[])
-    }
-
-    fn lt(&mut self, a: GateId, b: GateId) -> GateId {
-        self.emit(GateKind::Lt, &[a, b])
-    }
-
-    fn inc(&mut self, a: GateId, d: u64) -> GateId {
-        self.emit(GateKind::Inc(d), &[a])
     }
 
     /// Interns a constant so folding many gates to one value costs one
@@ -115,22 +114,9 @@ impl<'a> Rebuild<'a> {
         if let Some(&g) = self.consts.get(&t.value()) {
             return g;
         }
-        let g = self.constant(t);
+        let g = self.emit(GateKind::Const(t), &[]);
         self.consts.insert(t.value(), g);
         g
-    }
-
-    /// Builds a `min` or `max` (`kind`) over `srcs`, as
-    /// [`NetworkBuilder::min`] would: one source is a wire. Every caller
-    /// passes a nonempty fan-in; should that invariant ever break, the
-    /// gate degrades to min's identity `∞` — a candidate the manager's
-    /// verify gate would reject rather than ship.
-    fn merge(&mut self, kind: GateKind, srcs: &[GateId]) -> GateId {
-        match *srcs {
-            [] => self.intern_const(Time::INFINITY),
-            [only] => only,
-            _ => self.emit(kind, srcs),
-        }
     }
 
     /// The rebuilt network, or `None` when it would equal the input: every
@@ -187,25 +173,13 @@ pub fn constant_fold(network: &Network) -> Option<Network> {
                         .collect();
                     // All-never sources would make the gate itself
                     // never, so `kept` is nonempty here.
-                    r.merge(kind, &kept)
+                    r.emit(kind, &kept)
                 }
-                GateKind::Max => {
+                GateKind::Lt if intervals[srcs[1].index()].is_never() => r.src(srcs[0]),
+                _ => {
                     let mapped: Vec<GateId> = srcs.iter().map(|&s| r.src(s)).collect();
-                    r.merge(kind, &mapped)
+                    r.emit(kind, &mapped)
                 }
-                GateKind::Lt => {
-                    if intervals[srcs[1].index()].is_never() {
-                        r.src(srcs[0])
-                    } else {
-                        let (a, b) = (r.src(srcs[0]), r.src(srcs[1]));
-                        r.lt(a, b)
-                    }
-                }
-                GateKind::Inc(d) => {
-                    let s = r.src(srcs[0]);
-                    r.inc(s, d)
-                }
-                other => unreachable!("unsupported gate kind {other:?}"),
             }
         };
         r.map(id, new);
@@ -288,7 +262,7 @@ fn relational_fold_step(network: &Network) -> Option<Network> {
                         r.intern_const(Time::INFINITY)
                     } else {
                         let (a, b) = (r.src(srcs[0]), r.src(srcs[1]));
-                        r.lt(a, b)
+                        r.emit(kind, &[a, b])
                     }
                 }
                 GateKind::Min | GateKind::Max => {
@@ -297,13 +271,12 @@ fn relational_fold_step(network: &Network) -> Option<Network> {
                         .filter(|&i| !dominated(&idxs, i, max_gate))
                         .map(|i| r.src(srcs[i]))
                         .collect();
-                    r.merge(kind, &kept)
+                    r.emit(kind, &kept)
                 }
-                GateKind::Inc(d) => {
-                    let s = r.src(srcs[0]);
-                    r.inc(s, d)
+                _ => {
+                    let mapped: Vec<GateId> = srcs.iter().map(|&s| r.src(s)).collect();
+                    r.emit(kind, &mapped)
                 }
-                other => unreachable!("unsupported gate kind {other:?}"),
             }
         };
         r.map(id, new);
@@ -331,13 +304,7 @@ pub fn eliminate_dead(network: &Network) -> Option<Network> {
             continue; // unreachable: `id` came from `iter_gates`
         };
         let mapped: Vec<GateId> = srcs.iter().map(|&s| r.src(s)).collect();
-        let new = match kind {
-            GateKind::Const(t) => r.constant(t),
-            GateKind::Min | GateKind::Max => r.merge(kind, &mapped),
-            GateKind::Lt => r.lt(mapped[0], mapped[1]),
-            GateKind::Inc(d) => r.inc(mapped[0], d),
-            other => unreachable!("unsupported gate kind {other:?}"),
-        };
+        let new = r.emit(kind, &mapped);
         r.map(id, new);
     }
     r.finish()
@@ -364,13 +331,7 @@ pub fn share_subexpressions(network: &Network) -> Option<Network> {
                     continue; // unreachable: `id` came from `iter_gates`
                 };
                 let mapped: Vec<GateId> = srcs.iter().map(|&s| r.src(s)).collect();
-                match kind {
-                    GateKind::Const(t) => r.constant(t),
-                    GateKind::Min | GateKind::Max => r.merge(kind, &mapped),
-                    GateKind::Lt => r.lt(mapped[0], mapped[1]),
-                    GateKind::Inc(d) => r.inc(mapped[0], d),
-                    other => unreachable!("unsupported gate kind {other:?}"),
-                }
+                r.emit(kind, &mapped)
             };
             by_class.insert(class, made);
             made
@@ -394,7 +355,6 @@ pub fn fuse_delay_chains(network: &Network) -> Option<Network> {
     for (id, kind) in network.iter_gates() {
         let new = match kind {
             GateKind::Input(n) => r.inputs[n],
-            GateKind::Const(t) => r.constant(t),
             GateKind::Inc(d) => {
                 let Ok(srcs) = network.sources(id) else {
                     continue; // unreachable: `id` came from `iter_gates`
@@ -410,7 +370,7 @@ pub fn fuse_delay_chains(network: &Network) -> Option<Network> {
                     r.src(root)
                 } else {
                     let mapped = r.src(root);
-                    r.inc(mapped, total)
+                    r.emit(GateKind::Inc(total), &[mapped])
                 }
             }
             _ => {
@@ -418,11 +378,7 @@ pub fn fuse_delay_chains(network: &Network) -> Option<Network> {
                     continue; // unreachable: `id` came from `iter_gates`
                 };
                 let mapped: Vec<GateId> = srcs.iter().map(|&s| r.src(s)).collect();
-                match kind {
-                    GateKind::Min | GateKind::Max => r.merge(kind, &mapped),
-                    GateKind::Lt => r.lt(mapped[0], mapped[1]),
-                    other => unreachable!("unsupported gate kind {other:?}"),
-                }
+                r.emit(kind, &mapped)
             }
         };
         r.map(id, new);
