@@ -1334,10 +1334,9 @@ fn opt_document(extra: &[&str], emit: bool) -> String {
     names.sort();
     let mut doc = String::new();
     for name in names {
-        // Removed again at once, so a run that writes nothing reads as
-        // an empty artifact.
+        // Starts empty, so a run that writes nothing reads as an empty
+        // artifact.
         let out_file = TempFile::with_content(&format!("{name}.opt"), "");
-        let _ = std::fs::remove_file(&out_file.0);
         let path = example(&name);
         let mut args = vec!["opt", path.as_str()];
         args.extend_from_slice(extra);
@@ -1348,7 +1347,7 @@ fn opt_document(extra: &[&str], emit: bool) -> String {
         let code = out.status.code().unwrap();
         doc.push_str(&format!("== {name}\nexit {code}\n"));
         if emit {
-            doc.push_str(&std::fs::read_to_string(&out_file.0).unwrap_or_default());
+            doc.push_str(&std::fs::read_to_string(&out_file.0).unwrap());
         } else {
             doc.push_str(&String::from_utf8_lossy(&out.stdout));
         }
