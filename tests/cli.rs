@@ -1366,8 +1366,9 @@ fn opt_document(extra: &[&str], emit: bool) -> String {
 /// done > tests/golden/opt_text.txt
 /// ```
 ///
-/// adding `--json` for `opt_json.txt`, and `--check --emit out.txt`
-/// (printing the written file) for `opt_emit.txt`.
+/// adding `--json` for `opt_json.txt`. For `opt_emit.txt`, empty
+/// `art.txt`, run `opt "$f" --check --emit art.txt > /dev/null`, and
+/// `cat art.txt` in place of `out.txt`.
 #[test]
 fn opt_outputs_match_the_committed_goldens() {
     for (extra, emit, golden) in [
