@@ -12,27 +12,19 @@
 //! while the same constant on an inhibitor-only path merely weakens
 //! temporal invariance (STA005).
 //!
-//! Both sets are computed by one backward sweep seeded at the output
-//! lines. `st-opt`'s backward liveness *domain* solves the same problem
-//! through its generic worklist engine and is tested to agree with
-//! [`live_set`] node-for-node.
+//! Both sets are computed by one backward walk seeded at the output
+//! lines. This is the one liveness engine: STA006/STA007 here and
+//! `st-opt`'s dead-gate elimination and STA2xx tier all read
+//! [`live_set`]. Ids past the graph (a dangling source or output) are
+//! skipped, so both functions are total on malformed graphs.
 
-use crate::graph::{LintGraph, LintOp};
+use crate::graph::{LintGraph, LintNode, LintOp};
 
 /// Nodes with a path to at least one output, following every source
 /// edge. Indices align with [`LintGraph`] node ids.
 #[must_use]
 pub fn live_set(graph: &LintGraph) -> Vec<bool> {
-    let mut live = vec![false; graph.len()];
-    let mut stack: Vec<usize> = graph.outputs().to_vec();
-    while let Some(id) = stack.pop() {
-        if live[id] {
-            continue;
-        }
-        live[id] = true;
-        stack.extend(graph.nodes()[id].sources.iter().copied());
-    }
-    live
+    reach(graph, |node| &node.sources)
 }
 
 /// Nodes with a *timing* path to at least one output: the edges along
@@ -40,20 +32,25 @@ pub fn live_set(graph: &LintGraph) -> Vec<bool> {
 /// inhibitor side).
 #[must_use]
 pub fn timing_live_set(graph: &LintGraph) -> Vec<bool> {
-    let mut timing = vec![false; graph.len()];
-    let mut stack: Vec<usize> = graph.outputs().to_vec();
+    reach(graph, |node| match node.op {
+        LintOp::Lt => &node.sources[..node.sources.len().min(1)],
+        _ => &node.sources,
+    })
+}
+
+/// The nodes reachable from the output lines along `edges`.
+fn reach(graph: &LintGraph, edges: impl Fn(&LintNode) -> &[usize]) -> Vec<bool> {
+    let n = graph.len();
+    let mut seen = vec![false; n];
+    let mut stack: Vec<usize> = graph.outputs().iter().copied().filter(|&o| o < n).collect();
     while let Some(id) = stack.pop() {
-        if timing[id] {
+        if seen[id] {
             continue;
         }
-        timing[id] = true;
-        let node = &graph.nodes()[id];
-        match node.op {
-            LintOp::Lt => stack.push(node.sources[0]),
-            _ => stack.extend(node.sources.iter().copied()),
-        }
+        seen[id] = true;
+        stack.extend(edges(&graph.nodes()[id]).iter().filter(|&&s| s < n));
     }
-    timing
+    seen
 }
 
 #[cfg(test)]
@@ -93,5 +90,28 @@ mod tests {
         g.push(LintOp::Input(0), vec![]);
         assert_eq!(live_set(&g), vec![false]);
         assert_eq!(timing_live_set(&g), vec![false]);
+    }
+
+    #[test]
+    fn ids_past_the_graph_are_skipped() {
+        // min(g0, g7) on a 2-node graph: the dangling source is no node.
+        let mut g = LintGraph::new(1);
+        let x = g.push(LintOp::Input(0), vec![]);
+        let m = g.push(LintOp::Min, vec![x, 7]);
+        g.set_outputs(vec![m]);
+        assert_eq!(live_set(&g), vec![true, true]);
+        assert_eq!(timing_live_set(&g), vec![true, true]);
+
+        // A 1-node graph whose output names g5, and an `lt` with no
+        // sources at all.
+        let mut g = LintGraph::new(1);
+        g.push(LintOp::Input(0), vec![]);
+        g.set_outputs(vec![5]);
+        assert_eq!(live_set(&g), vec![false]);
+        assert_eq!(timing_live_set(&g), vec![false]);
+        g.push(LintOp::Lt, vec![]);
+        g.set_outputs(vec![1]);
+        assert_eq!(live_set(&g), vec![false, true]);
+        assert_eq!(timing_live_set(&g), vec![false, true]);
     }
 }
