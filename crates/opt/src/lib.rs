@@ -1,19 +1,22 @@
-//! `st-opt` — whole-artifact dataflow analysis and verified
-//! optimization for space-time artifacts.
+//! `st-opt` — whole-artifact analysis and verified optimization for
+//! space-time artifacts.
 //!
 //! The crate has three layers:
 //!
-//! * **[`dataflow`]** — a generic monotone framework over the shared
-//!   [`st_lint::LintGraph`] IR: a worklist solver seeded in topological
-//!   order, with pluggable domains. Three ship: the forward interval
-//!   domain (the same `N0^∞` transfer functions as
-//!   [`st_lint::interval`]), a backward liveness domain, and a forward
-//!   value-numbering domain for congruence classes.
+//! * **facts** — one linear sweep per analysis over the shared
+//!   [`st_lint::LintGraph`] IR, each with one implementation that the
+//!   passes and the STA2xx tier share: spike-time intervals from
+//!   [`st_lint::interval::analyze`], liveness from
+//!   [`st_lint::liveness::live_set`], and congruence classes from
+//!   [`value_numbers`]. The algebra's networks are feedforward and
+//!   every lowering defines each source before its node, so one pass in
+//!   definition order reaches every fact; no worklist is needed.
 //! * **[`passes`]** — rewrite passes driven by those facts: interval
-//!   constant folding, dead-gate elimination, hash-consed subexpression
-//!   sharing, delay-chain fusion (the lint-graph form `st-kernel` lowers
-//!   GRL through lives in `st_kernel::graphopt`), and Theorem-1 minterm
-//!   minimization for tables.
+//!   constant folding, zone-domain relational folding, dead-gate
+//!   elimination, hash-consed subexpression sharing, delay-chain fusion
+//!   (the lint-graph form `st-kernel` lowers GRL through lives in
+//!   `st_kernel::graphopt`), and Theorem-1 minterm minimization for
+//!   tables.
 //! * **[`manager`]** — the verified pipeline: every pass's candidate is
 //!   gated behind `st-verify` bounded equivalence before it is
 //!   committed, so an unsound rewrite is *rejected with a minimal
@@ -32,9 +35,9 @@
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod analyze;
-pub mod dataflow;
 pub mod manager;
 pub mod passes;
+mod value_number;
 
 pub use analyze::{analyze_graph, analyze_network};
 pub use manager::{
@@ -42,3 +45,4 @@ pub use manager::{
     optimize_table, optimize_table_traced, record_metrics, OptOptions, OptOutcome, Pass,
     PassRecord, Verdict, ALL_PASSES,
 };
+pub use value_number::value_numbers;

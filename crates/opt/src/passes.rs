@@ -2,7 +2,9 @@
 //! the pass manager then gates behind `st-verify` bounded equivalence.
 //!
 //! Every network pass follows the same rebuild idiom: lower to the lint
-//! IR, run the relevant [dataflow domain](crate::dataflow), then emit
+//! IR, read its facts from one sweep (intervals from
+//! [`interval::analyze`], liveness from [`liveness::live_set`], classes
+//! from [`value_numbers`], relational facts from [`Zone`]), then emit
 //! the rewritten gates in order through a copy-on-write `Rebuild`,
 //! primary inputs first (so input lines keep their order and count),
 //! with a map from old gates to new. A pass that would reproduce its
@@ -16,10 +18,11 @@
 use std::collections::HashMap;
 
 use st_core::{FunctionTable, Time};
-use st_lint::{Interval, Zone};
+use st_lint::{interval, liveness, Interval, Zone, MAX_RELATIONAL_NODES};
+use st_net::lint::to_lint_graph;
 use st_net::{GateId, GateKind, Network, NetworkBuilder};
 
-use crate::dataflow::{solve, IntervalDomain, LivenessDomain, ValueNumberDomain};
+use crate::value_number::value_numbers;
 
 /// A copy-on-write rebuild of one network: the gates a pass emits, in
 /// order, and the old-gate → new-gate map.
@@ -148,8 +151,7 @@ impl<'a> Rebuild<'a> {
 /// source through (`a ≺ ∞ = a`).
 #[must_use]
 pub fn constant_fold(network: &Network) -> Option<Network> {
-    let graph = st_net::lint::to_lint_graph(network);
-    let intervals = solve(&IntervalDomain::free_inputs(), &graph).facts;
+    let intervals = interval::analyze(&to_lint_graph(network), Interval::free());
     let mut r = Rebuild::new(network);
     for (id, kind) in network.iter_gates() {
         let iv = &intervals[id.index()];
@@ -220,7 +222,12 @@ pub fn relational_fold(network: &Network) -> Option<Network> {
 /// One fold step, or `None` when it folds nothing or the graph declines
 /// relational analysis (oversized or degenerate).
 fn relational_fold_step(network: &Network) -> Option<Network> {
-    let graph = st_net::lint::to_lint_graph(network);
+    // The lowering has one node per gate, and the zone declines a graph
+    // past its cap: decline before lowering.
+    if network.gate_count() > MAX_RELATIONAL_NODES {
+        return None;
+    }
+    let graph = to_lint_graph(network);
     let zone = Zone::analyze(&graph, Interval::free())?;
     // `s` contributes nothing to a min (resp. max) when some other
     // source `r` dominates it; ties keep the earliest operand.
@@ -284,13 +291,12 @@ fn relational_fold_step(network: &Network) -> Option<Network> {
     r.finish()
 }
 
-/// Dead-gate elimination through the backward liveness domain: gates
-/// with no path to an output are dropped. Primary inputs are always
-/// kept — a network's input width is part of its signature.
+/// Dead-gate elimination through [`liveness::live_set`]: gates with no
+/// path to an output are dropped. Primary inputs are always kept — a
+/// network's input width is part of its signature.
 #[must_use]
 pub fn eliminate_dead(network: &Network) -> Option<Network> {
-    let graph = st_net::lint::to_lint_graph(network);
-    let live = solve(&LivenessDomain, &graph).facts;
+    let live = liveness::live_set(&to_lint_graph(network));
     let mut r = Rebuild::new(network);
     for (id, kind) in network.iter_gates() {
         if let GateKind::Input(n) = kind {
@@ -315,13 +321,13 @@ pub fn eliminate_dead(network: &Network) -> Option<Network> {
 /// sorted) collapse onto the first member of the class.
 #[must_use]
 pub fn share_subexpressions(network: &Network) -> Option<Network> {
-    let graph = st_net::lint::to_lint_graph(network);
-    let numbers = solve(&ValueNumberDomain::new(), &graph).facts;
-    let mut by_class: HashMap<usize, GateId> = HashMap::new();
+    let numbers = value_numbers(&to_lint_graph(network));
+    // Class ids are dense, below the gate count.
+    let mut by_class: Vec<Option<GateId>> = vec![None; numbers.len()];
     let mut r = Rebuild::new(network);
     for (id, kind) in network.iter_gates() {
         let class = numbers[id.index()];
-        let new = if let Some(&g) = by_class.get(&class) {
+        let new = if let Some(g) = by_class[class] {
             g
         } else {
             let made = if let GateKind::Input(n) = kind {
@@ -333,7 +339,7 @@ pub fn share_subexpressions(network: &Network) -> Option<Network> {
                 let mapped: Vec<GateId> = srcs.iter().map(|&s| r.src(s)).collect();
                 r.emit(kind, &mapped)
             };
-            by_class.insert(class, made);
+            by_class[class] = Some(made);
             made
         };
         r.map(id, new);

@@ -1,16 +1,18 @@
 //! Property battery for the st-opt passes: on random (deliberately
 //! redundancy-prone) networks and random tabulated neurons, every pass
 //! is idempotent, every pass preserves semantics under bounded
-//! equivalence, and the verified pass manager never accepts a rewrite
-//! it cannot prove.
+//! equivalence, the verified pass manager never accepts a rewrite it
+//! cannot prove, and value numbering groups exactly the congruent gates.
 
 mod common;
 
 use common::arbitrary::{arb_network, arb_neuron};
 use proptest::prelude::*;
-use spacetime::core::FunctionTable;
-use spacetime::net::Network;
-use spacetime::opt::{optimize_network, passes, OptOptions, Pass, ALL_PASSES};
+use spacetime::core::{FunctionTable, Time};
+use spacetime::lint::LintOp;
+use spacetime::net::lint::to_lint_graph;
+use spacetime::net::{GateId, Network, NetworkBuilder};
+use spacetime::opt::{optimize_network, passes, value_numbers, OptOptions, Pass, ALL_PASSES};
 use spacetime::verify::equiv::{check_equiv, EquivResult};
 use spacetime::verify::eval::{NetEvaluator, TableEvaluator};
 
@@ -38,8 +40,83 @@ fn assert_net_equiv(left: &Network, right: &Network) -> Result<(), TestCaseError
     }
 }
 
+/// A random two-input network built to hold congruent gates: merges of
+/// one to eight operands with repeats, constants and delays over a few
+/// values, and copies of earlier merges with their operands reversed
+/// and one of them repeated.
+fn arb_congruent_network() -> impl Strategy<Value = Network> {
+    let gate = (
+        0u8..6,
+        prop::collection::vec(0usize..1 << 16, 1..9),
+        0u64..3,
+    );
+    prop::collection::vec(gate, 1..40).prop_map(|gates| {
+        let mut b = NetworkBuilder::new();
+        let mut ids = b.inputs(2);
+        let mut merges: Vec<(bool, Vec<GateId>)> = Vec::new();
+        for (kind, draws, d) in gates {
+            let operands: Vec<GateId> = draws.iter().map(|&x| ids[x % ids.len()]).collect();
+            let id = match kind {
+                0 => b.constant(Time::finite(d)),
+                1 | 2 => {
+                    merges.push((kind == 2, operands.clone()));
+                    if kind == 2 {
+                        b.max(operands).unwrap()
+                    } else {
+                        b.min(operands).unwrap()
+                    }
+                }
+                3 => b.lt(operands[0], operands[operands.len() - 1]),
+                4 => b.inc(operands[0], d),
+                _ if merges.is_empty() => b.inc(operands[0], d),
+                _ => {
+                    let (is_max, mut copy) = merges[draws[0] % merges.len()].clone();
+                    copy.reverse();
+                    copy.push(copy[0]);
+                    if is_max {
+                        b.max(copy).unwrap()
+                    } else {
+                        b.min(copy).unwrap()
+                    }
+                }
+            };
+            ids.push(id);
+        }
+        let last = ids[ids.len() - 1];
+        b.build([last])
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Two gates share a value number exactly when they have the same
+    /// kind (with the same line, time or delay) and their sources have
+    /// the same classes: as sets for `min`/`max`, in order for
+    /// `lt`/`inc`. Checked pairwise by brute force.
+    #[test]
+    fn value_numbers_are_exactly_the_congruence_classes(net in arb_congruent_network()) {
+        let graph = to_lint_graph(&net);
+        let vn = value_numbers(&graph);
+        let nodes = graph.nodes();
+        let classes = |i: usize| -> Vec<usize> { nodes[i].sources.iter().map(|&s| vn[s]).collect() };
+        let as_set = |mut v: Vec<usize>| {
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        for i in 0..nodes.len() {
+            for j in 0..nodes.len() {
+                let congruent = match (nodes[i].op, nodes[j].op) {
+                    (LintOp::Min, LintOp::Min) | (LintOp::Max, LintOp::Max) => {
+                        as_set(classes(i)) == as_set(classes(j))
+                    }
+                    (a, b) => a == b && classes(i) == classes(j),
+                };
+                prop_assert_eq!(vn[i] == vn[j], congruent, "g{} and g{} in {:?}", i, j, net);
+            }
+        }
+    }
 
     /// Every network pass, applied alone, proposes a candidate only
     /// when it differs from the input, is idempotent (a second
