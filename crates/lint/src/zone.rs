@@ -302,7 +302,7 @@ impl Zone {
     #[must_use]
     pub fn analyze_with(graph: &LintGraph, inputs: &dyn Fn(usize) -> Interval) -> Option<Zone> {
         let n = graph.len();
-        let base = analyze_base(graph, inputs);
+        let base = interval::analyze_lines(graph, inputs);
         let mut zone = Zone {
             n,
             up: vec![UNBOUNDED; n],
@@ -1005,53 +1005,6 @@ impl Zone {
         self.needs[node] = FireCond::TRIVIAL_NEEDS;
         self.suffices[node] = None;
     }
-}
-
-/// The interval facts the zone is seeded with: identical to
-/// [`interval::analyze`] except for the per-line input model.
-fn analyze_base(graph: &LintGraph, inputs: &dyn Fn(usize) -> Interval) -> Vec<Interval> {
-    let n = graph.len();
-    let mut values = vec![Interval::free(); n];
-    let get = |values: &[Interval], s: usize| values.get(s).copied().unwrap_or_else(Interval::free);
-    for id in interval::topological_order(graph) {
-        let node = &graph.nodes()[id];
-        let srcs = &node.sources;
-        values[id] = match node.op {
-            LintOp::Input(line) => inputs(line),
-            LintOp::Const(t) => Interval::exact(t),
-            LintOp::Min => {
-                let vs: Vec<Interval> = srcs.iter().map(|&s| get(&values, s)).collect();
-                if vs.is_empty() {
-                    Interval::free()
-                } else {
-                    Interval::min_of(&vs)
-                }
-            }
-            LintOp::Max => {
-                let vs: Vec<Interval> = srcs.iter().map(|&s| get(&values, s)).collect();
-                if vs.is_empty() {
-                    Interval::free()
-                } else {
-                    Interval::max_of(&vs)
-                }
-            }
-            LintOp::Lt => {
-                if srcs.len() == 2 {
-                    Interval::lt_gate(get(&values, srcs[0]), get(&values, srcs[1]))
-                } else {
-                    Interval::free()
-                }
-            }
-            LintOp::Inc(c) => {
-                if srcs.len() == 1 {
-                    get(&values, srcs[0]).inc(c)
-                } else {
-                    Interval::free()
-                }
-            }
-        };
-    }
-    values
 }
 
 #[cfg(test)]

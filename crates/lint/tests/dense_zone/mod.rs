@@ -498,9 +498,9 @@ fn analyze_base(graph: &LintGraph, inputs: &dyn Fn(usize) -> Interval) -> Vec<In
                 if vs.is_empty() {
                     Interval::free()
                 } else if node.op == LintOp::Min {
-                    Interval::min_of(&vs)
+                    Interval::min_of(vs)
                 } else {
-                    Interval::max_of(&vs)
+                    Interval::max_of(vs)
                 }
             }
             LintOp::Lt if srcs.len() == 2 => {
