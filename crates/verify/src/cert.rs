@@ -10,6 +10,7 @@
 
 use st_core::Time;
 use st_lint::interval::{analyze, Interval};
+use st_lint::liveness::live_set;
 use st_lint::{LintGraph, LintOp, Zone};
 
 /// Skew pairs are only enumerated up to this output width (the pair
@@ -174,21 +175,6 @@ fn skew_bounds(graph: &LintGraph, window: u64) -> Vec<SkewBound> {
     skews
 }
 
-/// Nodes with a path to at least one output (following every source
-/// edge).
-fn reachable_set(graph: &LintGraph) -> Vec<bool> {
-    let mut reachable = vec![false; graph.len()];
-    let mut stack: Vec<usize> = graph.outputs().to_vec();
-    while let Some(id) = stack.pop() {
-        if id >= reachable.len() || reachable[id] {
-            continue;
-        }
-        reachable[id] = true;
-        stack.extend(graph.nodes()[id].sources.iter().copied());
-    }
-    reachable
-}
-
 /// Longest operator chain ending at each node (inputs and constants
 /// count zero).
 fn depths(graph: &LintGraph) -> Vec<usize> {
@@ -215,7 +201,7 @@ fn depths(graph: &LintGraph) -> Vec<usize> {
 #[must_use]
 pub fn certify_graph(graph: &LintGraph, window: u64, kind: &str) -> Certificate {
     let intervals = analyze(graph, Interval::within(window));
-    let reachable = reachable_set(graph);
+    let reachable = live_set(graph);
     let depth_of = depths(graph);
 
     let outputs: Vec<OutputBound> = graph
