@@ -17,39 +17,10 @@
 //! enforced by exhaustive unit tests here and by the cross-engine
 //! property suite.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use crate::error::CoreError;
+use crate::hash::FxHashMap;
 use crate::table::FunctionTable;
 use crate::time::Time;
-
-/// FNV-1a over the written bytes. The keys are short `Vec<u64>`s of
-/// already-normalized values, so a multiply-xor hash beats the DoS-resistant
-/// default by a wide margin on the per-volley hot path, and the keys come
-/// from trusted (compiled) tables.
-#[derive(Debug, Default, Clone, Copy)]
-struct FnvHasher(u64);
-
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.0
-        };
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
-type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
 
 /// Rows sharing one finite-support mask, indexed by normalized values.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,7 +30,7 @@ struct MaskGroup {
     /// The set bits of `mask`, in ascending position order.
     positions: Vec<usize>,
     /// Normalized finite values (in `positions` order) → row output.
-    rows: FnvMap<Vec<u64>, Time>,
+    rows: FxHashMap<Vec<u64>, Time>,
 }
 
 /// A [`FunctionTable`] preprocessed for evaluate-many workloads.
@@ -124,7 +95,7 @@ impl CompiledTable {
                         positions: (0..table.arity())
                             .filter(|i| mask & (1 << i) != 0)
                             .collect(),
-                        rows: FnvMap::default(),
+                        rows: FxHashMap::default(),
                     });
                     groups.last_mut().expect("just pushed")
                 }

@@ -27,6 +27,7 @@
 //! | [`ops`] | the primitives and derived operations as free functions |
 //! | [`lattice`] | executable statements of the lattice laws |
 //! | [`function`] | the [`SpaceTimeFunction`] trait and property checkers |
+//! | [`hash`] | a small multiplicative hasher for integer-keyed maps |
 //! | [`expr`] | an AST over the primitives, with Lemma 2 `max`-elimination |
 //! | [`mod@simplify`] | lattice-law rewriting of expressions |
 //! | [`parse`] | s-expression parsing for [`Expr`] |
@@ -63,6 +64,7 @@ pub mod compiled;
 pub mod error;
 pub mod expr;
 pub mod function;
+pub mod hash;
 pub mod lane;
 pub mod lattice;
 pub mod ops;
