@@ -142,6 +142,40 @@ impl LintGraph {
         &self.outputs
     }
 
+    /// The logic depth: the longest chain of operator nodes from any
+    /// input or constant to any output (inputs and constants count zero),
+    /// the gate delays a direct hardware implementation pays on top of
+    /// the modeled `inc` delays.
+    ///
+    /// Total on malformed graphs: a source or output past the graph is
+    /// skipped, and on a cycle (STA001) every node is still visited once,
+    /// in [`topological_order`](crate::interval::topological_order).
+    #[must_use]
+    pub fn logic_depth(&self) -> usize {
+        let mut depth = vec![0usize; self.len()];
+        for id in crate::interval::topological_order(self) {
+            let node = &self.nodes[id];
+            let from_sources = node
+                .sources
+                .iter()
+                .filter_map(|&s| depth.get(s))
+                .max()
+                .copied()
+                .unwrap_or(0);
+            depth[id] = if node.op.is_operator() {
+                from_sources + 1
+            } else {
+                0
+            };
+        }
+        self.outputs
+            .iter()
+            .filter_map(|&o| depth.get(o))
+            .max()
+            .copied()
+            .unwrap_or(0)
+    }
+
     /// Lowers a slice of expressions (one per output) into a graph.
     ///
     /// `arity` declares the input width; expressions reading beyond it are
@@ -225,5 +259,29 @@ mod tests {
         assert_eq!(g.nodes()[d].sources, vec![d]);
         g.set_op(d, LintOp::Lt);
         assert_eq!(g.nodes()[d].op, LintOp::Lt);
+    }
+
+    /// Depth counts operators only, and a dangling source or output, a
+    /// forward reference or a cycle neither panics nor loops.
+    #[test]
+    fn logic_depth_is_total_on_malformed_graphs() {
+        let mut g = LintGraph::new(1);
+        let x = g.push(LintOp::Input(0), Vec::new());
+        let c = g.push(LintOp::Const(Time::finite(2)), Vec::new());
+        let d = g.push(LintOp::Inc(1), vec![x]);
+        let m = g.push(LintOp::Min, vec![d, c, 99]);
+        g.set_outputs(vec![m, c, 42]);
+        assert_eq!(g.logic_depth(), 2);
+        // A forward reference still counts its source's depth.
+        let ahead = g.push(LintOp::Max, vec![m + 2]);
+        let later = g.push(LintOp::Inc(1), vec![m]);
+        g.set_outputs(vec![ahead]);
+        assert_eq!(g.nodes()[later].sources, vec![m]);
+        assert_eq!(g.logic_depth(), 4);
+        // A two-node cycle terminates with some finite depth.
+        g.set_sources(d, vec![m]);
+        g.set_outputs(vec![m]);
+        assert!(g.logic_depth() <= g.len());
+        assert_eq!(LintGraph::new(0).logic_depth(), 0);
     }
 }

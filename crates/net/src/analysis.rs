@@ -10,6 +10,7 @@ use core::fmt;
 use std::fmt::Write as _;
 
 use crate::graph::{GateKind, Network};
+use crate::lint::to_lint_graph;
 
 /// Census of a network's gates by kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -86,29 +87,24 @@ pub fn gate_counts(network: &Network) -> GateCounts {
 /// and constants contribute 0).
 ///
 /// This is the *logic depth* a direct hardware implementation would pay in
-/// gate delays, on top of the modeled unit-time delays.
+/// gate delays, on top of the modeled unit-time delays. It is
+/// [`LintGraph::logic_depth`](st_lint::LintGraph::logic_depth) of the
+/// network's lint lowering, the one depth computation that the
+/// verifier's certificates also report.
 #[must_use]
 pub fn logic_depth(network: &Network) -> usize {
-    let mut depth = vec![0usize; network.gate_count()];
-    for (id, kind) in network.iter_gates() {
-        let sources = network.sources(id).expect("id from iter_gates");
-        let src_depth = sources.iter().map(|s| depth[s.index()]).max().unwrap_or(0);
-        depth[id.index()] = match kind {
-            GateKind::Input(_) | GateKind::Const(_) => 0,
-            _ => src_depth + 1,
-        };
-    }
-    network
-        .outputs()
-        .iter()
-        .map(|o| depth[o.index()])
-        .max()
-        .unwrap_or(0)
+    to_lint_graph(network).logic_depth()
 }
 
 /// The largest total `inc` delay along any source-to-output path: the
 /// worst-case *modeled time* an event spends in flight, which bounds how
 /// long after the last input event the outputs settle.
+///
+/// This is a structural sum over paths, independent of any window. The
+/// verifier certificate's `worst_case_delay` is a different quantity: an
+/// interval bound on the output spike times for inputs within a coding
+/// window, which also counts the inputs' own times and what `lt` gates
+/// and constants make of them.
 #[must_use]
 pub fn critical_delay(network: &Network) -> u64 {
     let mut delay = vec![0u64; network.gate_count()];

@@ -20,14 +20,16 @@
 //! [`PassRecord`], never silently conflated with a proof.
 //!
 //! A network pipeline checks every candidate against the *original*
-//! network, through one [`Reference`] of its outputs per run. A
-//! candidate accepted by a proof agrees with the original on the whole
-//! window, and one accepted on a sample agrees with it on that sample
-//! (every sampled check of a run draws the same volleys), so every
-//! verdict and counterexample is the one a check against the previous
-//! pass's network would give, while each proof evaluates only the
-//! candidate. The original is flattened, and its outputs stored, on the
-//! run's first proof, inside that proof's `verify.check_equiv` span.
+//! network, through one [`Reference`] per run. A candidate accepted by
+//! a proof agrees with the original on the whole window, and one
+//! accepted on a sample agrees with it on that sample (every sampled
+//! check of a run draws the same volleys), so every verdict and
+//! counterexample is the one a check against the previous pass's
+//! network would give, while each proof evaluates only the candidate:
+//! its plan runs over the original's stored walk. The original is
+//! flattened, and its walk stored, on the run's first proof, inside
+//! that proof's `verify.check_equiv` span; a run whose passes propose
+//! nothing stores nothing.
 
 use std::cell::OnceCell;
 use std::time::Instant;
@@ -37,8 +39,8 @@ use st_lint::{Code, Diagnostic, Location, Report, Severity};
 use st_metrics::MetricSink;
 use st_net::Network;
 use st_trace::{NullTracer, SpanId, Tracer};
-use st_verify::equiv::{check_equiv_traced, check_sampled, feasible_window, EquivResult};
-use st_verify::eval::{ByteBlock, Evaluator, NetEvaluator, Reference, TableEvaluator};
+use st_verify::equiv::{check_sampled, feasible_window, EquivResult, Reference};
+use st_verify::eval::{ByteBlock, Evaluator, NetEvaluator, Plan, TableEvaluator};
 use st_verify::{required_window, Artifact};
 
 use crate::passes;
@@ -164,6 +166,12 @@ pub struct PassRecord {
     pub after: usize,
     /// How the candidate was checked.
     pub verdict: Verdict,
+    /// Volleys the check walked: [`EquivProof::volleys`] for a proof,
+    /// the sample size for a sampled check, and 0 when the pass
+    /// proposed nothing or its candidate was rejected.
+    ///
+    /// [`EquivProof::volleys`]: st_verify::equiv::EquivProof::volleys
+    pub volleys: u64,
     /// Wall-clock nanoseconds spent in the pass plus its check.
     pub wall_nanos: u64,
 }
@@ -276,33 +284,41 @@ pub fn record_metrics<M: MetricSink>(outcome: &OptOutcome, sink: &mut M) {
 /// when feasible, seeded differential sample otherwise. The proof
 /// obligation is recorded as a `verify.check_equiv` span under the pass
 /// span, with the prover's own `verify.window` sub-spans below it.
-fn gate<T: Tracer>(
-    reference: &dyn Evaluator,
+/// Returns the verdict and the volleys the check walked.
+fn gate<T: Tracer, E: Evaluator>(
+    reference: &Reference<E>,
     candidate: &dyn Evaluator,
     window: u64,
     tracer: &mut T,
     parent: SpanId,
-) -> Verdict {
-    if let Some(w) = feasible_window(window, reference.input_width()) {
+) -> (Verdict, u64) {
+    let original = reference.original();
+    if let Some(w) = feasible_window(window, original.input_width()) {
         let span = tracer.begin("verify.check_equiv", parent);
-        let result = check_equiv_traced(reference, candidate, w, tracer, span);
+        let result = reference.check_equiv_traced(candidate, w, tracer, span);
         tracer.end(span);
         return match result {
-            Ok(EquivResult::Proved(_)) => Verdict::Proved(w),
-            Ok(EquivResult::Refuted(c)) => Verdict::Rejected(format!(
-                "{c}; replay: put the volley `{}` in a file and run `spacetime batch`",
-                c.volley_line()
-            )),
-            Err(e) => Verdict::Rejected(e),
+            Ok(EquivResult::Proved(proof)) => (Verdict::Proved(w), proof.volleys),
+            Ok(EquivResult::Refuted(c)) => (
+                Verdict::Rejected(format!(
+                    "{c}; replay: put the volley `{}` in a file and run `spacetime batch`",
+                    c.volley_line()
+                )),
+                0,
+            ),
+            Err(e) => (Verdict::Rejected(e), 0),
         };
     }
-    match check_sampled(reference, candidate, window, SAMPLE_VOLLEYS) {
-        Ok(None) => Verdict::Sampled(SAMPLE_VOLLEYS),
-        Ok(Some(c)) => Verdict::Rejected(format!(
-            "sampled differential check diverged on input [{}]",
-            c.volley_line()
-        )),
-        Err(e) => Verdict::Rejected(e),
+    match check_sampled(original, candidate, window, SAMPLE_VOLLEYS) {
+        Ok(None) => (Verdict::Sampled(SAMPLE_VOLLEYS), SAMPLE_VOLLEYS as u64),
+        Ok(Some(c)) => (
+            Verdict::Rejected(format!(
+                "sampled differential check diverged on input [{}]",
+                c.volley_line()
+            )),
+            0,
+        ),
+        Err(e) => (Verdict::Rejected(e), 0),
     }
 }
 
@@ -356,6 +372,10 @@ impl Evaluator for NetSide<'_> {
     fn invariant(&self) -> bool {
         self.evaluator().invariant()
     }
+
+    fn plan(&self) -> Option<&Plan> {
+        self.evaluator().plan()
+    }
 }
 
 fn rejection_diagnostic(pass: Pass, why: &str) -> Diagnostic {
@@ -408,12 +428,7 @@ pub fn optimize_network_traced<T: Tracer>(
 
     let mut report = Report::new();
     let mut current = network.clone();
-    // Stored over the window the proofs exhaust; a run that can only
-    // sample has a domain too large to store, and evaluates it live.
-    let reference = Reference::new(
-        NetSide::new(network),
-        feasible_window(window, network.input_count()).unwrap_or(window),
-    );
+    let reference = Reference::new(NetSide::new(network));
     let mut records = Vec::new();
 
     for pass in pipeline {
@@ -430,8 +445,8 @@ pub fn optimize_network_traced<T: Tracer>(
             // nothing.
             Pass::MinimizeTable => None,
         };
-        let verdict = match &candidate {
-            None => Verdict::Unchanged,
+        let (verdict, volleys) = match &candidate {
+            None => (Verdict::Unchanged, 0),
             Some(c) => gate(&reference, &NetSide::new(c), window, tracer, span),
         };
         tracer.end(span);
@@ -445,6 +460,7 @@ pub fn optimize_network_traced<T: Tracer>(
             before,
             after: current.gate_count(),
             verdict,
+            volleys,
             wall_nanos: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
         });
     }
@@ -500,11 +516,11 @@ pub fn optimize_table_traced<T: Tracer>(
             // Network passes propose nothing on a table.
             _ => (current.clone(), 0),
         };
-        let (verdict, after) = if dropped == 0 {
-            (Verdict::Unchanged, before)
+        let (verdict, volleys, after) = if dropped == 0 {
+            (Verdict::Unchanged, 0, before)
         } else {
-            let v = gate(
-                &TableEvaluator::new(&current),
+            let (v, volleys) = gate(
+                &Reference::new(TableEvaluator::new(&current)),
                 &TableEvaluator::spec(&candidate),
                 window,
                 tracer,
@@ -515,7 +531,7 @@ pub fn optimize_table_traced<T: Tracer>(
             } else {
                 candidate.len()
             };
-            (v, after)
+            (v, volleys, after)
         };
         tracer.end(span);
         match &verdict {
@@ -528,6 +544,7 @@ pub fn optimize_table_traced<T: Tracer>(
             before,
             after,
             verdict,
+            volleys,
             wall_nanos: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
         });
     }
@@ -697,12 +714,13 @@ mod tests {
         let base = wide_min(None);
         let verdict = |other: &Network| {
             gate(
-                &NetEvaluator::new(&base),
+                &Reference::new(NetEvaluator::new(&base)),
                 &NetEvaluator::new(other),
                 DEFAULT_WINDOW,
                 &mut NullTracer,
                 SpanId::NONE,
             )
+            .0
         };
         // min(x, ∞) = min(x): equivalent, so every sample agrees.
         assert_eq!(
@@ -718,6 +736,43 @@ mod tests {
                     .to_owned()
             )
         );
+    }
+
+    /// Each record carries the volleys its check walked. Width 2 at
+    /// window 4: a constant-free network's proofs walk the normalized
+    /// 6² − 5² + 1 = 12 volleys, one with a finite constant the full
+    /// 6² = 36; a width-22 network is sampled, 4 096 volleys; a pass that
+    /// proposes nothing walks none.
+    #[test]
+    fn records_count_the_volleys_their_checks_walked() {
+        let mut b = NetworkBuilder::new();
+        let ins = b.inputs(2);
+        let m1 = b.min2(ins[0], ins[1]);
+        let m2 = b.min2(ins[1], ins[0]);
+        let d1 = b.inc(m1, 1);
+        let d2 = b.inc(d1, 2);
+        let constant_free = b.build([d2, m2]);
+        let mut b = NetworkBuilder::new();
+        let ins = b.inputs(22);
+        let m = b.min(ins.iter().copied()).unwrap();
+        let _dead = b.max(ins).unwrap();
+        let wide = b.build([m]);
+        for (network, walked) in [
+            (constant_free, 12),
+            (redundant_network(), 36),
+            (wide, SAMPLE_VOLLEYS as u64),
+        ] {
+            let outcome = optimize_network(&network, &OptOptions::default()).unwrap();
+            assert!(outcome.records.iter().any(|r| r.volleys > 0));
+            for r in &outcome.records {
+                let expected = match r.verdict {
+                    Verdict::Unchanged => 0,
+                    Verdict::Proved(_) | Verdict::Sampled(_) => walked,
+                    Verdict::Rejected(_) => panic!("{}", outcome.render()),
+                };
+                assert_eq!(r.volleys, expected, "{}", outcome.render());
+            }
+        }
     }
 
     #[test]

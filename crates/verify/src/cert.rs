@@ -11,7 +11,7 @@
 use st_core::Time;
 use st_lint::interval::{analyze, Interval};
 use st_lint::liveness::live_set;
-use st_lint::{LintGraph, LintOp, Zone};
+use st_lint::{LintGraph, Zone};
 
 /// Skew pairs are only enumerated up to this output width (the pair
 /// count is quadratic and wide artifacts rarely want all of them).
@@ -62,12 +62,19 @@ pub struct Certificate {
     pub output_width: usize,
     /// Number of nodes in the analyzed graph.
     pub gate_count: usize,
-    /// Longest operator chain from any input/constant to any output.
+    /// Longest operator chain from any input/constant to any output
+    /// ([`LintGraph::logic_depth`]).
     pub depth: usize,
     /// Per-output spike-time bounds.
     pub outputs: Vec<OutputBound>,
     /// The largest finite `hi` over all live outputs: every output event
     /// happens by this tick. `None` when every output is dead.
+    ///
+    /// This is an interval bound over the window, so it counts the
+    /// inputs' own times and what `lt` gates and constants make of them;
+    /// `st_net::analysis::critical_delay` is a different quantity, the
+    /// largest sum of `inc` delays along any path, independent of the
+    /// window.
     pub worst_case_delay: Option<u64>,
     /// Whether every output is bounded: it either fires by a finite
     /// deadline or provably never fires. Feedforward graphs over
@@ -175,34 +182,12 @@ fn skew_bounds(graph: &LintGraph, window: u64) -> Vec<SkewBound> {
     skews
 }
 
-/// Longest operator chain ending at each node (inputs and constants
-/// count zero).
-fn depths(graph: &LintGraph) -> Vec<usize> {
-    let mut depth = vec![0usize; graph.len()];
-    for id in st_lint::interval::topological_order(graph) {
-        let node = &graph.nodes()[id];
-        let from_sources = node
-            .sources
-            .iter()
-            .filter_map(|&s| depth.get(s))
-            .max()
-            .copied()
-            .unwrap_or(0);
-        depth[id] = match node.op {
-            LintOp::Input(_) | LintOp::Const(_) => 0,
-            _ => from_sources + 1,
-        };
-    }
-    depth
-}
-
 /// Certifies a (structurally valid) gate graph over the given coding
 /// window.
 #[must_use]
 pub fn certify_graph(graph: &LintGraph, window: u64, kind: &str) -> Certificate {
     let intervals = analyze(graph, Interval::within(window));
     let reachable = live_set(graph);
-    let depth_of = depths(graph);
 
     let outputs: Vec<OutputBound> = graph
         .outputs()
@@ -234,21 +219,13 @@ pub fn certify_graph(graph: &LintGraph, window: u64, kind: &str) -> Certificate 
         .filter(|b| b.lo.is_infinite())
         .map(|b| b.line)
         .collect();
-    let depth = graph
-        .outputs()
-        .iter()
-        .filter_map(|&o| depth_of.get(o))
-        .max()
-        .copied()
-        .unwrap_or(0);
-
     Certificate {
         kind: kind.to_owned(),
         window,
         input_width: graph.input_count(),
         output_width: graph.outputs().len(),
         gate_count: graph.len(),
-        depth,
+        depth: graph.logic_depth(),
         outputs,
         worst_case_delay,
         bounded,
@@ -261,6 +238,7 @@ pub fn certify_graph(graph: &LintGraph, window: u64, kind: &str) -> Certificate 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use st_lint::LintOp;
 
     fn t(v: u64) -> Time {
         Time::finite(v)

@@ -27,12 +27,18 @@
 //! is the one a volley-at-a-time walk over the same volleys would
 //! produce. [`check_sampled`] walks a seeded sample through the same
 //! packets when a domain is too large to exhaust.
+//!
+//! A [`Reference`] stores one side's walk — the input blocks of every
+//! packet beside that side's output blocks — so that proof after proof
+//! against it evaluates only the other side, through the same block
+//! comparison.
 
 use core::fmt;
 use core::ops::Range;
+use std::cell::{OnceCell, RefCell};
 
 use st_core::{lane, Time, Volley};
-use st_kernel::{ByteBlock, MAX_PACKET};
+use st_kernel::{ByteBlock, Plan, Scratch, MAX_PACKET};
 use st_trace::{NullTracer, SpanId, Tracer};
 
 use crate::eval::{refill, Evaluator};
@@ -217,11 +223,9 @@ pub fn check_equiv_traced<T: Tracer>(
         ));
     }
     let normalized = left.invariant() && right.invariant();
-    // With no inputs the one volley, the empty one, has extent 0.
-    let last = if width == 0 { 0 } else { window };
     let mut packets = Packets::new(left, right, window);
     let mut volleys = 0u64;
-    for extent in 0..=last {
+    for extent in 0..=last_extent(width, window) {
         let _span = tracer.span("verify.window", parent);
         match packets.walk(&mut Extent::new(width, extent, normalized)) {
             Walk::Agreed(n) => volleys += n,
@@ -235,6 +239,223 @@ pub fn check_equiv_traced<T: Tracer>(
         window,
         volleys,
     }))
+}
+
+/// The last extent a walk at `window` visits: with no inputs the one
+/// volley, the empty one, has extent 0.
+fn last_extent(width: usize, window: u64) -> u64 {
+    if width == 0 {
+        0
+    } else {
+        window
+    }
+}
+
+/// The most bytes one stored walk of a [`Reference`] holds: one input
+/// block per input line and one output block per output line for each
+/// of its packets. A walk that could exceed it is not stored.
+pub const MAX_STORED_BYTES: usize = 64 << 20;
+
+/// The original side of a run of proofs, whose walk over the domain is
+/// stored so that each proof against it evaluates only the candidate.
+///
+/// On the first proof that can replay it, a walk of that proof's kind
+/// (normalized or full, see [`check_equiv`]) is generated once and
+/// stored in the checker's order: every packet's input blocks beside
+/// the original's output blocks, and the packets of each extent. Each
+/// later proof of that kind runs the candidate's plan
+/// ([`Evaluator::plan`]) over the stored input blocks, compares its
+/// output blocks with the stored ones as bytes and decodes only the
+/// first differing lane, exactly as a live walk compares two sides'
+/// blocks; so every verdict, counterexample, volley count and
+/// `verify.window` span is the one [`check_equiv_traced`] gives. Lanes
+/// past a partial packet's last volley hold the tick after the window
+/// on every line (`∞` at window 254), a volley outside the domain that
+/// is evaluated with the packet but never compared.
+///
+/// A proof runs live, as [`check_equiv_traced`] of the original and the
+/// candidate, when the candidate has no plan or a
+/// [`Plan::lane_input_limit`] below the window, at windows past
+/// [`lane::MAX_FINITE`], and when its kind of walk is not stored: the
+/// original declines a packet as lanes, the walk could exceed
+/// [`MAX_STORED_BYTES`], or the kind is already stored for another
+/// window.
+#[derive(Debug)]
+pub struct Reference<E> {
+    original: E,
+    cap: usize,
+    /// The normalized and the full walk, each generated on first use;
+    /// `None` when it cannot be stored.
+    walks: [OnceCell<Option<StoredWalk>>; 2],
+    /// The candidates' plan buffers, reused from proof to proof.
+    scratch: RefCell<Scratch>,
+}
+
+/// One walk over a window's domain, stored packet by packet.
+#[derive(Debug)]
+struct StoredWalk {
+    window: u64,
+    packets: Vec<StoredPacket>,
+    /// The packets of each extent, in order.
+    extents: Vec<Range<usize>>,
+}
+
+/// One packet of a [`StoredWalk`].
+#[derive(Debug)]
+struct StoredPacket {
+    /// How many volleys the packet carries.
+    lanes: usize,
+    /// One block per input line, then the original's block per output
+    /// line.
+    blocks: Box<[ByteBlock]>,
+}
+
+impl<E: Evaluator> Reference<E> {
+    /// Wraps the side every proof checks against; nothing is walked
+    /// until the first proof.
+    #[must_use]
+    pub fn new(original: E) -> Reference<E> {
+        Reference::with_cap(original, MAX_STORED_BYTES)
+    }
+
+    fn with_cap(original: E, cap: usize) -> Reference<E> {
+        Reference {
+            original,
+            cap,
+            walks: [OnceCell::new(), OnceCell::new()],
+            scratch: RefCell::default(),
+        }
+    }
+
+    /// The wrapped side.
+    pub fn original(&self) -> &E {
+        &self.original
+    }
+
+    /// [`check_equiv`] with the original on the left and `candidate` on
+    /// the right, replaying the stored walk where it can.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the operational failures [`check_equiv`] reports.
+    pub fn check_equiv(
+        &self,
+        candidate: &dyn Evaluator,
+        window: u64,
+    ) -> Result<EquivResult, String> {
+        self.check_equiv_traced(candidate, window, &mut NullTracer, SpanId::NONE)
+    }
+
+    /// [`check_equiv_traced`] with the original on the left and
+    /// `candidate` on the right, replaying the stored walk where it can.
+    /// The first proof of each kind stores its walk inside the caller's
+    /// span.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the operational failures [`check_equiv`] reports.
+    pub fn check_equiv_traced<T: Tracer>(
+        &self,
+        candidate: &dyn Evaluator,
+        window: u64,
+        tracer: &mut T,
+        parent: SpanId,
+    ) -> Result<EquivResult, String> {
+        let Some((plan, walk)) = self.stored(candidate, window) else {
+            return check_equiv_traced(&self.original, candidate, window, tracer, parent);
+        };
+        let names = [self.original.name(), candidate.name()];
+        let mut scratch = self.scratch.borrow_mut();
+        let mut blocks = vec![[lane::INF; MAX_PACKET]; plan.output_width()];
+        let mut volleys = 0u64;
+        for packets in &walk.extents {
+            let _span = tracer.span("verify.window", parent);
+            for packet in &walk.packets[packets.clone()] {
+                let (inputs, original) = packet.blocks.split_at(plan.input_count());
+                plan.eval_blocks(&mut scratch, inputs, &mut blocks);
+                if let Some(lane) = first_differing_lane(original, &blocks, packet.lanes) {
+                    return Ok(EquivResult::Refuted(lane_counterexample(
+                        names, inputs, original, &blocks, lane,
+                    )));
+                }
+                volleys += packet.lanes as u64;
+            }
+        }
+        Ok(EquivResult::Proved(EquivProof {
+            left: names[0].to_owned(),
+            right: names[1].to_owned(),
+            window,
+            volleys,
+        }))
+    }
+
+    /// The candidate's plan and the stored walk it replays at `window`,
+    /// storing the walk on first use, or `None` when the proof runs
+    /// live.
+    fn stored<'a>(
+        &'a self,
+        candidate: &'a dyn Evaluator,
+        window: u64,
+    ) -> Option<(&'a Plan, &'a StoredWalk)> {
+        let shape = (self.original.input_width(), self.original.output_width());
+        let plan = candidate.plan().filter(|plan| {
+            window <= u64::from(lane::MAX_FINITE)
+                && plan.lane_input_limit().is_some_and(|limit| limit >= window)
+                && (plan.input_count(), plan.output_width()) == shape
+                && (candidate.input_width(), candidate.output_width()) == shape
+                && fits(window, shape.0)
+        })?;
+        let normalized = self.original.invariant() && candidate.invariant();
+        let walk = self.walks[usize::from(!normalized)]
+            .get_or_init(|| self.walk(window, normalized))
+            .as_ref()
+            .filter(|walk| walk.window == window)?;
+        Some((plan, walk))
+    }
+
+    /// Generates the walk of one kind at `window` and evaluates the
+    /// original on every packet, or `None` when the walk cannot be
+    /// stored.
+    fn walk(&self, window: u64, normalized: bool) -> Option<StoredWalk> {
+        let (width, outputs) = (self.original.input_width(), self.original.output_width());
+        let last = last_extent(width, window);
+        // At most the full domain, and each extent ends in at most one
+        // partial packet.
+        let domain = (window + 2).checked_pow(u32::try_from(width).ok()?)?;
+        let bound = domain / MAX_PACKET as u64 + last + 1;
+        let bytes = usize::try_from(bound)
+            .ok()?
+            .checked_mul(width + outputs)?
+            .checked_mul(MAX_PACKET)?;
+        if bytes > self.cap {
+            return None;
+        }
+        // The tick after the window: ∞ at window 254.
+        let past = u8::try_from(window + 1).unwrap_or(lane::INF);
+        let mut walk = StoredWalk {
+            window,
+            packets: Vec::new(),
+            extents: Vec::new(),
+        };
+        for extent in 0..=last {
+            let first = walk.packets.len();
+            let mut source = Extent::new(width, extent, normalized);
+            loop {
+                let mut blocks = vec![[past; MAX_PACKET]; width + outputs].into_boxed_slice();
+                let (inputs, out) = blocks.split_at_mut(width);
+                let lanes = fill_blocks(inputs, &mut source);
+                if lanes == 0 {
+                    break;
+                }
+                if !self.original.eval_lanes(inputs, lanes, out) {
+                    return None;
+                }
+                walk.packets.push(StoredPacket { lanes, blocks });
+            }
+            walk.extents.push(first..walk.packets.len());
+        }
+        Some(walk)
+    }
 }
 
 /// The volleys one extent adds to the walk, in
@@ -483,33 +704,13 @@ impl<'a> Packets<'a> {
     /// would: at the first volley on which the left side fails, the
     /// right side fails, or the two disagree, checked in that order.
     fn walk(&mut self, source: &mut impl Digits) -> Walk {
-        let silent = source.silent();
         let mut agreed = 0;
         loop {
-            let mut n = 0;
-            while n < MAX_PACKET {
-                let Some(digits) = source.next_volley() else {
-                    break;
-                };
-                if self.lanes {
-                    // Finite digits are at most the window, below 255.
-                    for (block, &d) in self.inputs.iter_mut().zip(digits) {
-                        block[n] = if d == silent { lane::INF } else { d as u8 };
-                    }
-                } else {
-                    refill(
-                        &mut self.volleys[n],
-                        digits.iter().map(|&d| {
-                            if d == silent {
-                                Time::INFINITY
-                            } else {
-                                Time::finite(d)
-                            }
-                        }),
-                    );
-                }
-                n += 1;
-            }
+            let n = if self.lanes {
+                fill_blocks(&mut self.inputs, source)
+            } else {
+                fill_volleys(&mut self.volleys, source)
+            };
             if n == 0 {
                 return Walk::Agreed(agreed);
             }
@@ -519,8 +720,14 @@ impl<'a> Packets<'a> {
                     .right
                     .eval_lanes(&self.inputs, n, &mut self.right_blocks)
             {
-                if let Some(lane) = self.first_differing_lane(n) {
-                    return Walk::Refuted(self.lane_counterexample(lane));
+                if let Some(lane) = first_differing_lane(&self.left_blocks, &self.right_blocks, n) {
+                    return Walk::Refuted(lane_counterexample(
+                        [self.left.name(), self.right.name()],
+                        &self.inputs,
+                        &self.left_blocks,
+                        &self.right_blocks,
+                        lane,
+                    ));
                 }
                 agreed += n as u64;
                 continue;
@@ -534,34 +741,6 @@ impl<'a> Packets<'a> {
                 Some(end) => return end,
                 None => agreed += n as u64,
             }
-        }
-    }
-
-    /// The first of the packet's `n` lanes on which some output block
-    /// differs between the sides.
-    fn first_differing_lane(&self, n: usize) -> Option<usize> {
-        self.left_blocks
-            .iter()
-            .zip(&self.right_blocks)
-            .filter(|(l, r)| l[..n] != r[..n])
-            .filter_map(|(l, r)| l[..n].iter().zip(&r[..n]).position(|(a, b)| a != b))
-            .min()
-    }
-
-    /// The counterexample of the packet's lane `lane`, decoded from the
-    /// blocks.
-    fn lane_counterexample(&self, lane: usize) -> Counterexample {
-        let left_outputs: Vec<Time> = lane_times(&self.left_blocks, lane).collect();
-        let right_outputs: Vec<Time> = lane_times(&self.right_blocks, lane).collect();
-        Counterexample {
-            left: self.left.name().to_owned(),
-            right: self.right.name().to_owned(),
-            inputs: lane_times(&self.inputs, lane).collect(),
-            output: (0..left_outputs.len())
-                .find(|&i| left_outputs[i] != right_outputs[i])
-                .unwrap_or_default(),
-            left_outputs,
-            right_outputs,
         }
     }
 
@@ -602,6 +781,82 @@ impl<'a> Packets<'a> {
             (_, Some((_, e))) => Some(Walk::Failed(self.right.name(), e)),
             _ => None,
         }
+    }
+}
+
+/// Writes the next volleys of `source`, up to [`MAX_PACKET`], into one
+/// block per input line, volley `j`'s lane encoding in byte `j`, and
+/// returns how many it wrote. Bytes past them keep what they held.
+fn fill_blocks(blocks: &mut [ByteBlock], source: &mut impl Digits) -> usize {
+    let silent = source.silent();
+    let mut n = 0;
+    while n < MAX_PACKET {
+        let Some(digits) = source.next_volley() else {
+            break;
+        };
+        // Finite digits are at most the window, below 255.
+        for (block, &d) in blocks.iter_mut().zip(digits) {
+            block[n] = if d == silent { lane::INF } else { d as u8 };
+        }
+        n += 1;
+    }
+    n
+}
+
+/// Writes the next volleys of `source` into `volleys`, one per slot,
+/// and returns how many it wrote.
+fn fill_volleys(volleys: &mut [Volley], source: &mut impl Digits) -> usize {
+    let silent = source.silent();
+    let mut n = 0;
+    for slot in volleys {
+        let Some(digits) = source.next_volley() else {
+            break;
+        };
+        refill(
+            slot,
+            digits.iter().map(|&d| {
+                if d == silent {
+                    Time::INFINITY
+                } else {
+                    Time::finite(d)
+                }
+            }),
+        );
+        n += 1;
+    }
+    n
+}
+
+/// The first of a packet's `n` lanes on which some output block differs
+/// between the two sides.
+fn first_differing_lane(left: &[ByteBlock], right: &[ByteBlock], n: usize) -> Option<usize> {
+    left.iter()
+        .zip(right)
+        .filter(|(l, r)| l[..n] != r[..n])
+        .filter_map(|(l, r)| l[..n].iter().zip(&r[..n]).position(|(a, b)| a != b))
+        .min()
+}
+
+/// The counterexample of a packet's lane `lane`, decoded from its input
+/// blocks and the two sides' output blocks; `names` are the sides' tags.
+fn lane_counterexample(
+    names: [&str; 2],
+    inputs: &[ByteBlock],
+    left: &[ByteBlock],
+    right: &[ByteBlock],
+    lane: usize,
+) -> Counterexample {
+    let left_outputs: Vec<Time> = lane_times(left, lane).collect();
+    let right_outputs: Vec<Time> = lane_times(right, lane).collect();
+    Counterexample {
+        left: names[0].to_owned(),
+        right: names[1].to_owned(),
+        inputs: lane_times(inputs, lane).collect(),
+        output: (0..left_outputs.len())
+            .find(|&i| left_outputs[i] != right_outputs[i])
+            .unwrap_or_default(),
+        left_outputs,
+        right_outputs,
     }
 }
 
@@ -900,6 +1155,72 @@ mod tests {
             4,
         );
         assert_eq!(Ok(result), volley_path);
+    }
+
+    /// A network evaluator that counts the volleys it evaluates as
+    /// lanes, the only path a stored walk's build takes.
+    struct Counting<'a> {
+        inner: NetEvaluator,
+        evaluated: &'a std::cell::Cell<usize>,
+    }
+
+    impl Evaluator for Counting<'_> {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn input_width(&self) -> usize {
+            self.inner.input_width()
+        }
+
+        fn output_width(&self) -> usize {
+            self.inner.output_width()
+        }
+
+        fn eval(&self, inputs: &[Time]) -> Result<Vec<Time>, String> {
+            self.evaluated.set(self.evaluated.get() + 1);
+            self.inner.eval(inputs)
+        }
+
+        fn eval_lanes(&self, inputs: &[ByteBlock], lanes: usize, out: &mut [ByteBlock]) -> bool {
+            let taken = self.inner.eval_lanes(inputs, lanes, out);
+            if taken {
+                self.evaluated.set(self.evaluated.get() + lanes);
+            }
+            taken
+        }
+
+        fn invariant(&self) -> bool {
+            self.inner.invariant()
+        }
+    }
+
+    /// A 2-sorter's normalized walk at window 3 is 10 volleys in four
+    /// extents, one packet each: 4 × (2 + 2) blocks, 4 096 bytes. Three
+    /// proofs walk the sorter once under a 4 096-byte cap and three
+    /// times under 4 095; a proof at another window runs live.
+    #[test]
+    fn a_walk_is_stored_within_its_cap_and_for_its_window() {
+        let net = st_net::sorting::sorting_network(2);
+        let live = NetEvaluator::new(&net);
+        for (cap, evaluations) in [(4096, 10), (4095, 30)] {
+            let evaluated = std::cell::Cell::new(0);
+            let counting = Counting {
+                inner: NetEvaluator::new(&net),
+                evaluated: &evaluated,
+            };
+            let reference = Reference::with_cap(counting, cap);
+            for _ in 0..3 {
+                let proof = reference.check_equiv(&live, 3).unwrap();
+                assert_eq!(proof, check_equiv(&live, &live, 3).unwrap());
+                assert_eq!(proof.proof().map(|p| p.volleys), Some(10));
+            }
+            assert_eq!(evaluated.get(), evaluations, "cap {cap}");
+            // 4² − 3² + 1 volleys at window 2, walked live.
+            let proof = reference.check_equiv(&live, 2).unwrap();
+            assert_eq!(proof, check_equiv(&live, &live, 2).unwrap());
+            assert_eq!(evaluated.get(), evaluations + 8, "cap {cap}");
+        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! returns: the same verdict, the same counterexample (inputs, both
 //! output volleys, output index) or the same error. Only
 //! `EquivProof::volleys` differs, by the closed form of the skipped
-//! volleys. A [`Reference`] table of a network, shared by proof after
-//! proof, must give exactly what live evaluation gives.
+//! volleys. A [`Reference`] of a network stores its walk once per walk
+//! kind, and proof after proof that replays it must give exactly what a
+//! live check gives.
 //!
 //! Widths 1–4 make most extents' volley counts non-multiples of the
 //! packet size, so the last packet of an extent is usually partial;
@@ -22,14 +23,17 @@
 
 mod common;
 
+use std::cell::Cell;
+
 use common::arbitrary::{arb_network, arb_neuron};
 use proptest::prelude::*;
 use spacetime::core::{enumerate_inputs, Time, Volley};
-use spacetime::net::{network_to_text, parse_network, Network};
+use spacetime::kernel::{ByteBlock, Plan};
+use spacetime::net::{network_to_text, parse_network, Network, NetworkBuilder};
 use spacetime::neuron::structural::srm0_network;
 use spacetime::tnn::train::{fresh_column, TrainConfig};
-use spacetime::verify::equiv::{check_equiv, Counterexample, EquivProof, EquivResult};
-use spacetime::verify::eval::{Evaluator, NetEvaluator, Reference};
+use spacetime::verify::equiv::{check_equiv, Counterexample, EquivProof, EquivResult, Reference};
+use spacetime::verify::eval::{Evaluator, NetEvaluator};
 use spacetime::verify::mutate::net_mutants;
 
 /// The checker's domain in its visiting order: extent by extent, each
@@ -209,6 +213,90 @@ fn with_mutants(net: &Network) -> Vec<Network> {
     all
 }
 
+/// `net` with every output passed through `max(·, 0)`: the same
+/// function, but with a finite constant, so its proofs take the full
+/// walk.
+fn with_a_finite_constant(net: &Network) -> Network {
+    let mut b = NetworkBuilder::from_prefix(net, net.gate_count());
+    let zero = b.constant(Time::ZERO);
+    let outputs: Vec<_> = net.outputs().iter().map(|&o| b.max2(o, zero)).collect();
+    b.build(outputs)
+}
+
+/// The candidates of a run of proofs against `net`: the network itself
+/// and every single-gate mutant, each also with a finite constant, so
+/// that a run proves both walk kinds whenever `net` is constant-free.
+fn candidates(net: &Network) -> Vec<Network> {
+    with_mutants(net)
+        .iter()
+        .flat_map(|n| [n.clone(), with_a_finite_constant(n)])
+        .collect()
+}
+
+/// Whether `net`'s plan takes every packet of `window` as lanes.
+fn takes_lanes(net: &Network, window: u64) -> bool {
+    window <= 254
+        && Plan::from_network(net)
+            .lane_input_limit()
+            .is_some_and(|limit| limit >= window)
+}
+
+/// A network side that counts the volleys it evaluates, on every path.
+/// It hands out no plan, so as a candidate it is always checked live.
+struct Counting<'a> {
+    inner: NetEvaluator,
+    evaluated: &'a Cell<u64>,
+}
+
+impl<'a> Counting<'a> {
+    fn new(net: &Network, evaluated: &'a Cell<u64>) -> Counting<'a> {
+        Counting {
+            inner: NetEvaluator::new(net),
+            evaluated,
+        }
+    }
+
+    fn count(&self, volleys: usize) {
+        self.evaluated.set(self.evaluated.get() + volleys as u64);
+    }
+}
+
+impl Evaluator for Counting<'_> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn input_width(&self) -> usize {
+        self.inner.input_width()
+    }
+
+    fn output_width(&self) -> usize {
+        self.inner.output_width()
+    }
+
+    fn eval(&self, inputs: &[Time]) -> Result<Vec<Time>, String> {
+        self.count(1);
+        self.inner.eval(inputs)
+    }
+
+    fn eval_packet(&self, volleys: &[Volley], out: &mut [Volley]) -> Result<(), (usize, String)> {
+        self.count(volleys.len());
+        self.inner.eval_packet(volleys, out)
+    }
+
+    fn eval_lanes(&self, inputs: &[ByteBlock], lanes: usize, out: &mut [ByteBlock]) -> bool {
+        let taken = self.inner.eval_lanes(inputs, lanes, out);
+        if taken {
+            self.count(lanes);
+        }
+        taken
+    }
+
+    fn invariant(&self) -> bool {
+        self.inner.invariant()
+    }
+}
+
 /// Checks every pair of `net` and one of `others`, in both
 /// orientations, against the scalar walk over the whole domain.
 fn assert_matches_the_scalar_walk(net: &Network, others: &[Network], window: u64) {
@@ -253,6 +341,183 @@ fn a_compiled_column_matches_the_scalar_walk_across_many_packets() {
     assert_matches_the_scalar_walk(&quarter, &[higher], 4);
 }
 
+/// The one-input identity against candidates of both walk kinds:
+/// `min(x, x)` (invariant: the normalized walk, `[0]` and `[∞]`),
+/// `lt(x, 5)` (a finite constant: the full walk, all six volleys of
+/// window 4) and `lt(x, 1)` (refuted at `[1]`, which only the full walk
+/// meets). Whichever kind a run stores first, every proof is the live
+/// one and the original is walked once per kind: 2 + 6 volleys.
+#[test]
+fn both_walk_kinds_serve_in_either_order() {
+    let mut b = NetworkBuilder::new();
+    let x = b.input();
+    let identity = b.build([x]);
+    let gated = |bound: u64| {
+        let mut b = NetworkBuilder::new();
+        let x = b.input();
+        let c = b.constant(Time::finite(bound));
+        let l = b.lt(x, c);
+        b.build([l])
+    };
+    let mut b = NetworkBuilder::new();
+    let x = b.input();
+    let m = b.min2(x, x);
+    let doubled = b.build([m]);
+    let (below, above) = (gated(1), gated(5));
+
+    let live = NetEvaluator::new(&identity);
+    for run in [
+        [&doubled, &above, &below, &doubled],
+        [&below, &above, &doubled, &above],
+    ] {
+        let evaluated = Cell::new(0);
+        let reference = Reference::new(Counting::new(&identity, &evaluated));
+        for other in run {
+            let candidate = NetEvaluator::new(other);
+            let result = reference.check_equiv(&candidate, 4);
+            assert_eq!(result, check_equiv(&live, &candidate, 4));
+            match result.unwrap() {
+                EquivResult::Proved(proof) => {
+                    let expected = if other == &doubled { 2 } else { 6 };
+                    assert_eq!(proof.volleys, expected);
+                }
+                EquivResult::Refuted(cex) => {
+                    assert!(other == &below);
+                    assert_eq!(cex.inputs, vec![Time::finite(1)]);
+                }
+            }
+        }
+        assert_eq!(evaluated.get(), 2 + 6);
+    }
+}
+
+/// `[x0, x1]` against `[x0, lt(x1, x0 + 4)]`, which differ first at
+/// `[0 4]`: in the normalized walk the second of extent 4's two volleys,
+/// in the full walk (a `max(·, 0)` guard adds a finite constant) the
+/// fifth of its eleven. Replayed from the stored walk, either refutation
+/// lands on that lane of the last extent's partial packet.
+#[test]
+fn a_refutation_in_the_last_partial_packet_is_the_live_one() {
+    let mut b = NetworkBuilder::new();
+    let x = b.inputs(2);
+    let identity = b.build([x[0], x[1]]);
+    let mut b = NetworkBuilder::new();
+    let x = b.inputs(2);
+    let late = b.inc(x[0], 4);
+    let cut = b.lt(x[1], late);
+    let cut = b.build([x[0], cut]);
+
+    let live = NetEvaluator::new(&identity);
+    let reference = Reference::new(NetEvaluator::new(&identity));
+    for other in [cut.clone(), with_a_finite_constant(&cut)] {
+        let candidate = NetEvaluator::new(&other);
+        let result = reference.check_equiv(&candidate, 4).unwrap();
+        assert_eq!(Ok(result.clone()), check_equiv(&live, &candidate, 4));
+        let cex = result.counterexample().expect("4 is not ∞").clone();
+        assert_eq!(cex.inputs, vec![Time::ZERO, Time::finite(4)]);
+        assert_eq!(cex.left_outputs, vec![Time::ZERO, Time::finite(4)]);
+        assert_eq!(cex.right_outputs, vec![Time::ZERO, Time::INFINITY]);
+        assert_eq!(cex.output, 1);
+    }
+}
+
+/// `x` and `lt(x, 5)` agree on every volley of window 4 and differ at
+/// `[5]`, the volley the stored walk keeps in the lanes past each
+/// partial packet's end: the replayed proof reads only the packets'
+/// volleys.
+#[test]
+fn lanes_past_a_partial_packet_are_never_compared() {
+    let mut b = NetworkBuilder::new();
+    let x = b.input();
+    let identity = b.build([x]);
+    let mut b = NetworkBuilder::new();
+    let x = b.input();
+    let c = b.constant(Time::finite(5));
+    let l = b.lt(x, c);
+    let gated = b.build([l]);
+    let candidate = NetEvaluator::new(&gated);
+    for window in 0..=4 {
+        let reference = Reference::new(NetEvaluator::new(&identity));
+        let result = reference.check_equiv(&candidate, window);
+        assert_eq!(
+            result,
+            check_equiv(&NetEvaluator::new(&identity), &candidate, window)
+        );
+        assert_eq!(result.unwrap().proof().map(|p| p.volleys), Some(window + 2));
+    }
+}
+
+/// `min(x, lt(x + 252, x))` is `x`, but its lane limit is 2. As the
+/// candidate at window 4 it is checked live, with nothing stored. As the
+/// original, against `max(x, 0)` (also `x`, with a finite constant, so
+/// the full walk), its walk cannot be stored: the one build stops at the
+/// first packet it declines, `[3]`, after `[0]`, `[∞]`, `[1]` and `[2]`,
+/// and every proof evaluates it live.
+#[test]
+fn sides_past_the_lane_bound_are_checked_live() {
+    let mut b = NetworkBuilder::new();
+    let x = b.input();
+    let identity = b.build([x]);
+    let mut b = NetworkBuilder::new();
+    let x = b.input();
+    let late = b.inc(x, 252);
+    let never = b.lt(late, x);
+    let m = b.min2(x, never);
+    let detour = b.build([m]);
+    assert!(!takes_lanes(&detour, 4));
+    let guarded = with_a_finite_constant(&identity);
+    assert!(takes_lanes(&guarded, 4));
+
+    for (original, other, walked, evaluated) in [
+        (&identity, &detour, 2, 2 + 2),
+        (&detour, &guarded, 6, 4 + 6 + 6),
+    ] {
+        let count = Cell::new(0);
+        let reference = Reference::new(Counting::new(original, &count));
+        let candidate = NetEvaluator::new(other);
+        for _ in 0..2 {
+            let result = reference.check_equiv(&candidate, 4);
+            assert_eq!(
+                result,
+                check_equiv(&NetEvaluator::new(original), &candidate, 4)
+            );
+            assert_eq!(result.unwrap().proof().map(|p| p.volleys), Some(walked));
+        }
+        assert_eq!(count.get(), evaluated);
+    }
+}
+
+/// A network with no inputs has one volley, the empty one. Constant
+/// candidates, finite and not, replay it at every window up to 4 and
+/// check it live past the lane bytes, as the live check does.
+#[test]
+fn zero_input_networks_replay_their_one_volley() {
+    let constant = |text: &str| parse_network(text).unwrap();
+    let original = constant("g0 = const 3\noutputs g0\n");
+    let others = [
+        constant("g0 = const 3\noutputs g0\n"),
+        constant("g0 = const 4\noutputs g0\n"),
+        constant("g0 = const ∞\noutputs g0\n"),
+        constant("g0 = const 1\ng1 = inc 2 g0\noutputs g1\n"),
+    ];
+    let live = NetEvaluator::new(&original);
+    for window in [0, 1, 2, 3, 4, 255, 10_000_000_000] {
+        let reference = Reference::new(NetEvaluator::new(&original));
+        for other in &others {
+            let candidate = NetEvaluator::new(other);
+            let result = reference.check_equiv(&candidate, window);
+            assert_eq!(
+                result,
+                check_equiv(&live, &candidate, window),
+                "window {window}"
+            );
+            if let Some(proof) = result.unwrap().proof() {
+                assert_eq!(proof.volleys, 1);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -290,30 +555,57 @@ proptest! {
         }
     }
 
-    /// One reference table of a network serves proof after proof: each
-    /// mutant, then the network itself, checked against the shared
-    /// table in both orientations gives exactly the live check. Refuted
-    /// mutants stop part-way and mutants with a finite constant walk the
-    /// whole domain, so later proofs extend a partly filled table.
+    /// One stored walk serves proof after proof exactly as a live check
+    /// does: the network, every mutant and each of them with a finite
+    /// constant, checked against one reference of the network, give the
+    /// live `check_equiv` verdict, counterexample, volley count or error.
+    /// A run goes forward and a second one backward, so each walk kind is
+    /// stored first in one of them; refuted candidates, candidates whose
+    /// `lane_input_limit` is below the window (delays of 248–254) and
+    /// networks the original cannot walk in lanes take their own paths.
     #[test]
-    fn one_reference_table_serves_every_proof(net in arb_any_network(), window in 0u64..=4) {
-        let reference = Reference::new(NetEvaluator::new(&net), window);
+    fn one_stored_walk_serves_every_proof(net in arb_any_network(), window in 0u64..=4) {
         let live = NetEvaluator::new(&net);
-        let mut versions = with_mutants(&net);
-        versions.rotate_left(1);
-        for other in &versions {
-            let candidate = NetEvaluator::new(other);
-            prop_assert_eq!(
-                check_equiv(&reference, &candidate, window),
-                check_equiv(&live, &candidate, window),
-                "{}", network_to_text(other)
-            );
-            prop_assert_eq!(
-                check_equiv(&candidate, &reference, window),
-                check_equiv(&candidate, &live, window),
-                "{}", network_to_text(other)
-            );
+        let mut run = candidates(&net);
+        for _ in 0..2 {
+            let reference = Reference::new(NetEvaluator::new(&net));
+            for other in &run {
+                let candidate = NetEvaluator::new(other);
+                prop_assert_eq!(
+                    reference.check_equiv(&candidate, window),
+                    check_equiv(&live, &candidate, window),
+                    "{}", network_to_text(other)
+                );
+            }
+            run.reverse();
         }
+    }
+
+    /// A run walks the original once per walk kind: after every candidate
+    /// that takes lanes has been proved twice against one reference, the
+    /// original has evaluated exactly the volleys of the walk kinds those
+    /// proofs used.
+    #[test]
+    fn the_original_is_walked_once_per_walk_kind(net in arb_any_network(), window in 0u64..=4) {
+        // An original past the lane bound is checked live
+        // (`sides_past_the_lane_bound_are_checked_live`).
+        if !takes_lanes(&net, window) {
+            return Ok(());
+        }
+        let evaluated = Cell::new(0);
+        let reference = Reference::new(Counting::new(&net, &evaluated));
+        let mut kinds = [false; 2];
+        let run: Vec<Network> =
+            candidates(&net).into_iter().filter(|c| takes_lanes(c, window)).collect();
+        for other in run.iter().chain(&run) {
+            let candidate = NetEvaluator::new(other);
+            reference.check_equiv(&candidate, window).unwrap();
+            kinds[usize::from(!(reference.original().invariant() && candidate.invariant()))] = true;
+        }
+        let width = net.input_count();
+        let expected = walked(width, window, true) * u64::from(kinds[0])
+            + walked(width, window, false) * u64::from(kinds[1]);
+        prop_assert_eq!(evaluated.get(), expected, "{}", network_to_text(&net));
     }
 
     /// An evaluator failing on one volley stops the packet walk exactly

@@ -10,8 +10,7 @@
 //! 256-volley `eval_packet` calls.
 //!
 //! Causality holds for every table and network, with or without finite
-//! constants, and for a reference table over a network: moving the
-//! input spikes later than an output's spike at `t` to other times
+//! constants: moving the input spikes later than an output's spike at `t` to other times
 //! later than `t`, or to `∞`, leaves that output at `t`. The moved
 //! volleys are evaluated in full 256-volley packets, through
 //! `eval_lanes` where the evaluator takes them and `eval_packet`
@@ -43,7 +42,7 @@ use spacetime::neuron::structural::srm0_network;
 use spacetime::neuron::{ResponseFn, Srm0Neuron, Synapse};
 use spacetime::tnn::{Column, Inhibition};
 use spacetime::verify::eval::{
-    ColumnEvaluator, Evaluator, GrlEvaluator, NetEvaluator, Reference, TableEvaluator,
+    ColumnEvaluator, Evaluator, GrlEvaluator, NetEvaluator, TableEvaluator,
 };
 
 /// The window whose domain every property shifts.
@@ -198,9 +197,7 @@ proptest! {
     }
 
     /// A network reports `invariant()` exactly when it has no finite
-    /// constant, and then shifts commute with it: on its kernel plan
-    /// and through a reference table of its outputs, whose shifted
-    /// volleys leave the stored domain.
+    /// constant, and then shifts commute with it on its kernel plan.
     #[test]
     fn networks_are_invariant_exactly_without_finite_constants(net in arb_any_network()) {
         let evaluator = NetEvaluator::new(&net);
@@ -208,9 +205,6 @@ proptest! {
         if evaluator.invariant() {
             let text = network_to_text(&net);
             prop_assert_eq!(shift_violation(&evaluator), None, "{}", text);
-            let reference = Reference::new(NetEvaluator::new(&net), WINDOW);
-            prop_assert!(reference.invariant());
-            prop_assert_eq!(shift_violation(&reference), None, "{}", text);
         }
     }
 }
@@ -226,13 +220,11 @@ proptest! {
     }
 
     /// Networks are causal, with or without finite constants, on their
-    /// kernel plans and through a reference table of their outputs.
+    /// kernel plans.
     #[test]
     fn networks_are_causal(net in arb_any_network()) {
         let text = network_to_text(&net);
         prop_assert_eq!(causality_violation(&NetEvaluator::new(&net)), None, "{}", text);
-        let reference = Reference::new(NetEvaluator::new(&net), WINDOW);
-        prop_assert_eq!(causality_violation(&reference), None, "{}", text);
     }
 }
 
