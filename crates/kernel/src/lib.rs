@@ -2,8 +2,9 @@
 //!
 //! The raw-speed engine for the space-time algebra: a gate network (or a
 //! race-logic netlist) is compiled **once** into a flattened
-//! [`Plan`] — topological order precomputed, struct-of-arrays gate
-//! storage, fan-ins in one contiguous arena — and volleys are then
+//! [`Plan`] — topological order precomputed, one step per gate with its
+//! operands resolved, only merges of three or more sources in a fan-in
+//! arena — and volleys are then
 //! evaluated **up to [`MAX_PACKET`] (256) at a time**, each input line's
 //! spike times packed one per u8 lane (see [`st_core::lane`]): eight to a
 //! `u64` word for the batch engine's packets of up to eight, one per byte
@@ -19,8 +20,9 @@
 //! * the lane encoding is an order isomorphism, so unsigned byte ops
 //!   equal the algebra's ops on encoded values;
 //! * a plan-level bound (computed by a one-pass dataflow analysis over
-//!   delays and constants, [`Plan::lane_input_limit`]) tells exactly
-//!   which batches can be lane-packed without saturating; everything
+//!   the delays and constants of the gates some output reads,
+//!   [`Plan::lane_input_limit`]) tells exactly which batches can be
+//!   lane-packed without an output saturating; everything
 //!   else takes the scalar path ([`Plan::eval`]), which is bit-identical
 //!   to [`st_net::Network::eval`] at full `u64` precision.
 //!
@@ -49,9 +51,15 @@
 //! # Ok::<(), st_core::CoreError>(())
 //! ```
 
+// An engine must not crash on the networks it runs: library code
+// reports through `Result`, and the documented panic contracts (the
+// argument shapes of the packet entry points) are `assert!`s (tests
+// are exempt via clippy.toml).
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod graphopt;
 pub mod packet;
 pub mod plan;
 
 pub use packet::{ByteBlock, PacketStats, Scratch, MAX_PACKET};
-pub use plan::{Op, Plan};
+pub use plan::Plan;

@@ -24,7 +24,7 @@
 
 use st_core::{lane, Volley};
 
-use crate::plan::{Op, Plan};
+use crate::plan::{Plan, Step};
 
 /// The most volleys one [`Plan::eval_packet`] or [`Plan::eval_blocks`]
 /// call carries: the lanes of one [`ByteBlock`]. Chosen by measurement
@@ -287,7 +287,9 @@ impl Plan {
                 "volley width pre-checked"
             );
             for (block, &t) in inputs.iter_mut().zip(times) {
-                block.set(j, lane::encode(t).expect("lane bound pre-checked"));
+                let byte = lane::encode(t);
+                assert!(byte.is_some(), "lane bound pre-checked");
+                block.set(j, byte.unwrap_or(lane::INF));
             }
         }
         let stats = self.walk(values, inputs);
@@ -309,55 +311,75 @@ impl Plan {
     fn walk<B: Block>(&self, values: &mut Vec<B>, inputs: &[B]) -> PacketStats {
         // Every gate's block is written before any later gate reads it,
         // so blocks left over from an earlier packet are never seen.
-        let ops = self.ops();
-        let args = self.args();
-        if values.len() < ops.len() {
-            values.resize(ops.len(), B::SILENT);
+        let steps = self.steps();
+        if values.len() < steps.len() {
+            values.resize(steps.len(), B::SILENT);
         }
+        let (consts, delays) = (self.lane_consts(), self.lane_delays());
         let mut stats = PacketStats::default();
-        for (g, &op) in ops.iter().enumerate() {
+        for (g, &step) in steps.iter().enumerate() {
             let (done, rest) = values.split_at_mut(g);
-            let value = &mut rest[0];
-            let arg = args[g] as usize;
-            match op {
-                Op::Input => *value = inputs[arg],
-                Op::Const => *value = B::splat(self.lane_consts()[arg]),
-                op => {
-                    let srcs = self.fan_in(g);
-                    if !srcs.is_empty() && srcs.iter().all(|&s| done[s as usize].is_silent()) {
-                        // ∞-dominance: an all-silent fan-in forces an
-                        // all-silent output for every op (∧, ∨, ≺, +c
-                        // all map ∞ to ∞), so skip the lane work.
-                        stats.gates_skipped += 1;
-                        *value = B::SILENT;
-                        continue;
-                    }
-                    stats.gates_swar += 1;
-                    let a = &done[srcs[0] as usize];
-                    // Binary gates, nearly all of them, match first.
-                    match (op, srcs) {
-                        (Op::Min, [_, b]) => B::min(value, a, &done[*b as usize]),
-                        (Op::Max, [_, b]) => B::max(value, a, &done[*b as usize]),
-                        (Op::Lt, [_, b]) => B::lt(value, a, &done[*b as usize]),
-                        (Op::Inc, _) => B::inc(value, a, self.lane_delays()[arg]),
-                        (Op::Min, _) => {
-                            *value = *a;
-                            for &s in &srcs[1..] {
-                                B::min(value, &{ *value }, &done[s as usize]);
-                            }
-                        }
-                        (Op::Max, _) => {
-                            *value = *a;
-                            for &s in &srcs[1..] {
-                                B::max(value, &{ *value }, &done[s as usize]);
-                            }
-                        }
-                        _ => unreachable!("`lt` has two sources, inputs and constants none"),
-                    }
+            let out = &mut rest[0];
+            let at = |s: u32| &done[s as usize];
+            match step {
+                Step::Input(line) => *out = inputs[line as usize],
+                Step::Const(k) => *out = B::splat(consts[k as usize]),
+                Step::Min(a, b) => gate(out, at(a), at(b), B::min, &mut stats),
+                Step::Max(a, b) => gate(out, at(a), at(b), B::max, &mut stats),
+                Step::Lt(a, b) => gate(out, at(a), at(b), B::lt, &mut stats),
+                Step::Inc(a, k) => {
+                    let delay = delays[k as usize];
+                    gate(
+                        out,
+                        at(a),
+                        at(a),
+                        |out, x, _| B::inc(out, x, delay),
+                        &mut stats,
+                    );
                 }
+                Step::MinN(s, e) => wide(out, done, self.arena(s, e), B::min, &mut stats),
+                Step::MaxN(s, e) => wide(out, done, self.arena(s, e), B::max, &mut stats),
             }
         }
         stats
+    }
+}
+
+/// One gate of the walk reading blocks `a` and `b` (`a` twice for `+c`):
+/// `op` on them, or, when both are all-silent, an all-silent block
+/// without the lane work — the **∞-dominance early-out**: `∧`, `∨`, `≺`
+/// and `+c` all map `∞` to `∞`. Byte blocks never report silence, so
+/// they never skip.
+#[inline(always)]
+fn gate<B: Block>(out: &mut B, a: &B, b: &B, op: impl Fn(&mut B, &B, &B), stats: &mut PacketStats) {
+    if a.is_silent() && b.is_silent() {
+        stats.gates_skipped += 1;
+        *out = B::SILENT;
+    } else {
+        stats.gates_swar += 1;
+        op(out, a, b);
+    }
+}
+
+/// A merge of three or more sources, read from `done`: `op` folded over
+/// them, with [`gate`]'s early-out when every one is all-silent.
+fn wide<B: Block>(
+    out: &mut B,
+    done: &[B],
+    srcs: &[u32],
+    op: impl Fn(&mut B, &B, &B),
+    stats: &mut PacketStats,
+) {
+    let at = |s: &u32| &done[*s as usize];
+    if srcs.iter().all(|s| at(s).is_silent()) {
+        stats.gates_skipped += 1;
+        *out = B::SILENT;
+        return;
+    }
+    stats.gates_swar += 1;
+    op(out, at(&srcs[0]), at(&srcs[1]));
+    for s in &srcs[2..] {
+        op(out, &{ *out }, at(s));
     }
 }
 

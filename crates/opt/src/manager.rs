@@ -29,7 +29,13 @@
 //! its plan runs over the original's stored walk. The original is
 //! flattened, and its walk stored, on the run's first proof, inside
 //! that proof's `verify.check_equiv` span; a run whose passes propose
-//! nothing stores nothing.
+//! nothing stores nothing. Each side's plan is the live cone of its
+//! network, and the reference keeps its last proof: a candidate whose
+//! plan equals the last one proved, at the same window and walk kind —
+//! typically `eliminate_dead`'s, which only drops the gates the proved
+//! `share_subexpressions` candidate left dead — gets that proof back
+//! without a walk, and its `verify.check_equiv` span has no
+//! `verify.window` spans under it.
 
 use std::cell::OnceCell;
 use std::time::Instant;
@@ -166,9 +172,10 @@ pub struct PassRecord {
     pub after: usize,
     /// How the candidate was checked.
     pub verdict: Verdict,
-    /// Volleys the check walked: [`EquivProof::volleys`] for a proof,
-    /// the sample size for a sampled check, and 0 when the pass
-    /// proposed nothing or its candidate was rejected.
+    /// Volleys the check covered: [`EquivProof::volleys`] for a proof
+    /// (for a kept proof, the count of the walk it came from), the
+    /// sample size for a sampled check, and 0 when the pass proposed
+    /// nothing or its candidate was rejected.
     ///
     /// [`EquivProof::volleys`]: st_verify::equiv::EquivProof::volleys
     pub volleys: u64,
@@ -284,7 +291,7 @@ pub fn record_metrics<M: MetricSink>(outcome: &OptOutcome, sink: &mut M) {
 /// when feasible, seeded differential sample otherwise. The proof
 /// obligation is recorded as a `verify.check_equiv` span under the pass
 /// span, with the prover's own `verify.window` sub-spans below it.
-/// Returns the verdict and the volleys the check walked.
+/// Returns the verdict and the volleys the check covered.
 fn gate<T: Tracer, E: Evaluator>(
     reference: &Reference<E>,
     candidate: &dyn Evaluator,

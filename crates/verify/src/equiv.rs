@@ -257,7 +257,9 @@ fn last_extent(width: usize, window: u64) -> u64 {
 pub const MAX_STORED_BYTES: usize = 64 << 20;
 
 /// The original side of a run of proofs, whose walk over the domain is
-/// stored so that each proof against it evaluates only the candidate.
+/// stored so that each proof against it evaluates only the candidate,
+/// and whose last proof is kept so that a candidate computing the same
+/// plan is not walked again.
 ///
 /// On the first proof that can replay it, a walk of that proof's kind
 /// (normalized or full, see [`check_equiv`]) is generated once and
@@ -272,6 +274,16 @@ pub const MAX_STORED_BYTES: usize = 64 << 20;
 /// past a partial packet's last volley hold the tick after the window
 /// on every line (`∞` at window 254), a volley outside the domain that
 /// is evaluated with the packet but never compared.
+///
+/// The reference keeps the plan of the last candidate a replay proved
+/// equivalent, with that proof's window, walk kind and [`EquivProof`].
+/// A candidate whose plan equals it, at the same window and walk kind,
+/// computes the same outputs on every volley of the same stored walk,
+/// so it gets that proof back, under its own name, without a walk and
+/// without `verify.window` spans. A network side's plan is the live
+/// cone of its network ([`NetEvaluator`](crate::eval::NetEvaluator)),
+/// so a candidate that only drops dead gates from the last one proved
+/// is served this way. Refutations are never kept.
 ///
 /// A proof runs live, as [`check_equiv_traced`] of the original and the
 /// candidate, when the candidate has no plan or a
@@ -289,6 +301,8 @@ pub struct Reference<E> {
     walks: [OnceCell<Option<StoredWalk>>; 2],
     /// The candidates' plan buffers, reused from proof to proof.
     scratch: RefCell<Scratch>,
+    /// The last candidate plan proved equivalent.
+    last: RefCell<Option<LastProof>>,
 }
 
 /// One walk over a window's domain, stored packet by packet.
@@ -310,6 +324,15 @@ struct StoredPacket {
     blocks: Box<[ByteBlock]>,
 }
 
+/// The proof a [`Reference`] keeps: the candidate plan it covers, on
+/// which kind of walk.
+#[derive(Debug)]
+struct LastProof {
+    plan: Plan,
+    normalized: bool,
+    proof: EquivProof,
+}
+
 impl<E: Evaluator> Reference<E> {
     /// Wraps the side every proof checks against; nothing is walked
     /// until the first proof.
@@ -324,6 +347,7 @@ impl<E: Evaluator> Reference<E> {
             cap,
             walks: [OnceCell::new(), OnceCell::new()],
             scratch: RefCell::default(),
+            last: RefCell::default(),
         }
     }
 
@@ -347,9 +371,10 @@ impl<E: Evaluator> Reference<E> {
     }
 
     /// [`check_equiv_traced`] with the original on the left and
-    /// `candidate` on the right, replaying the stored walk where it can.
-    /// The first proof of each kind stores its walk inside the caller's
-    /// span.
+    /// `candidate` on the right: the kept proof when the candidate's
+    /// plan is the last one proved, otherwise a replay of the stored
+    /// walk where it can. The first proof of each kind stores its walk
+    /// inside the caller's span.
     ///
     /// # Errors
     ///
@@ -361,10 +386,44 @@ impl<E: Evaluator> Reference<E> {
         tracer: &mut T,
         parent: SpanId,
     ) -> Result<EquivResult, String> {
-        let Some((plan, walk)) = self.stored(candidate, window) else {
+        let normalized = self.original.invariant() && candidate.invariant();
+        let replay = self
+            .lane_plan(candidate, window)
+            .and_then(|plan| Some((plan, self.stored(window, normalized)?)));
+        let Some((plan, walk)) = replay else {
             return check_equiv_traced(&self.original, candidate, window, tracer, parent);
         };
-        let names = [self.original.name(), candidate.name()];
+        if let Some(last) = self.last.borrow().as_ref().filter(|last| {
+            last.proof.window == window && last.normalized == normalized && last.plan == *plan
+        }) {
+            return Ok(EquivResult::Proved(EquivProof {
+                right: candidate.name().to_owned(),
+                ..last.proof.clone()
+            }));
+        }
+        let result = self.replay(plan, walk, candidate.name(), tracer, parent);
+        if let EquivResult::Proved(proof) = &result {
+            *self.last.borrow_mut() = Some(LastProof {
+                plan: plan.clone(),
+                normalized,
+                proof: proof.clone(),
+            });
+        }
+        Ok(result)
+    }
+
+    /// Runs `plan`, the candidate's (named `name`), over the stored walk
+    /// and compares it with the original's blocks, one `verify.window`
+    /// span per extent.
+    fn replay<T: Tracer>(
+        &self,
+        plan: &Plan,
+        walk: &StoredWalk,
+        name: &str,
+        tracer: &mut T,
+        parent: SpanId,
+    ) -> EquivResult {
+        let names = [self.original.name(), name];
         let mut scratch = self.scratch.borrow_mut();
         let mut blocks = vec![[lane::INF; MAX_PACKET]; plan.output_width()];
         let mut volleys = 0u64;
@@ -374,43 +433,42 @@ impl<E: Evaluator> Reference<E> {
                 let (inputs, original) = packet.blocks.split_at(plan.input_count());
                 plan.eval_blocks(&mut scratch, inputs, &mut blocks);
                 if let Some(lane) = first_differing_lane(original, &blocks, packet.lanes) {
-                    return Ok(EquivResult::Refuted(lane_counterexample(
+                    return EquivResult::Refuted(lane_counterexample(
                         names, inputs, original, &blocks, lane,
-                    )));
+                    ));
                 }
                 volleys += packet.lanes as u64;
             }
         }
-        Ok(EquivResult::Proved(EquivProof {
+        EquivResult::Proved(EquivProof {
             left: names[0].to_owned(),
             right: names[1].to_owned(),
-            window,
+            window: walk.window,
             volleys,
-        }))
+        })
     }
 
-    /// The candidate's plan and the stored walk it replays at `window`,
-    /// storing the walk on first use, or `None` when the proof runs
-    /// live.
-    fn stored<'a>(
-        &'a self,
-        candidate: &'a dyn Evaluator,
-        window: u64,
-    ) -> Option<(&'a Plan, &'a StoredWalk)> {
+    /// The candidate's plan when it decides the candidate's outputs on
+    /// the whole domain at `window` as lanes, or `None` when the proof
+    /// runs live.
+    fn lane_plan<'a>(&self, candidate: &'a dyn Evaluator, window: u64) -> Option<&'a Plan> {
         let shape = (self.original.input_width(), self.original.output_width());
-        let plan = candidate.plan().filter(|plan| {
+        candidate.plan().filter(|plan| {
             window <= u64::from(lane::MAX_FINITE)
                 && plan.lane_input_limit().is_some_and(|limit| limit >= window)
                 && (plan.input_count(), plan.output_width()) == shape
                 && (candidate.input_width(), candidate.output_width()) == shape
                 && fits(window, shape.0)
-        })?;
-        let normalized = self.original.invariant() && candidate.invariant();
-        let walk = self.walks[usize::from(!normalized)]
+        })
+    }
+
+    /// The stored walk of one kind at `window`, storing it on first use,
+    /// or `None` when the proof runs live.
+    fn stored(&self, window: u64, normalized: bool) -> Option<&StoredWalk> {
+        self.walks[usize::from(!normalized)]
             .get_or_init(|| self.walk(window, normalized))
             .as_ref()
-            .filter(|walk| walk.window == window)?;
-        Some((plan, walk))
+            .filter(|walk| walk.window == window)
     }
 
     /// Generates the walk of one kind at `window` and evaluates the

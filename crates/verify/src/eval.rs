@@ -177,12 +177,14 @@ impl Evaluator for TableEvaluator<'_> {
     }
 }
 
-/// [`Network`] as an evaluator, running on the network's flattened
-/// [`Plan`]: packets whose finite inputs all lie within
+/// [`Network`] as an evaluator, running on the live cone of the
+/// network's flattened [`Plan`] ([`Plan::live_cone`]: the gates some
+/// output reads): packets whose finite inputs all lie within
 /// [`Plan::lane_input_limit`] take the lane path ([`Plan::eval_blocks`]
 /// or [`Plan::eval_packet`], the whole packet per pass), every other
 /// volley the scalar [`Plan::eval`] — both bit-identical to
-/// [`Network::eval`].
+/// [`Network::eval`]. Two networks with equal live cones hand out equal
+/// plans, which a [`Reference`](crate::equiv::Reference) proves once.
 #[derive(Debug, Clone)]
 pub struct NetEvaluator {
     plan: Plan,
@@ -191,18 +193,19 @@ pub struct NetEvaluator {
 }
 
 impl NetEvaluator {
-    /// Flattens a gate network into its kernel plan (once; every later
-    /// evaluation reuses it).
+    /// Flattens a gate network into the live cone of its kernel plan
+    /// (once; every later evaluation reuses it).
     #[must_use]
     pub fn new(net: &Network) -> NetEvaluator {
         // A finite constant is the only gate that ignores a shift of its
         // inputs: `min`, `max`, `lt` and `∞` commute with one, and so
-        // does `inc`, saturating or not.
+        // does `inc`, saturating or not. The whole network is read, dead
+        // gates too, so a proof's walk kind follows the network.
         let invariant = net
             .iter_gates()
             .all(|(_, kind)| !matches!(kind, GateKind::Const(t) if t.is_finite()));
         NetEvaluator {
-            plan: Plan::from_network(net),
+            plan: Plan::from_network(net).live_cone(),
             scratch: RefCell::default(),
             invariant,
         }

@@ -11,7 +11,9 @@
 //! `EquivProof::volleys` differs, by the closed form of the skipped
 //! volleys. A [`Reference`] of a network stores its walk once per walk
 //! kind, and proof after proof that replays it must give exactly what a
-//! live check gives.
+//! live check gives. A network side's plan is its live cone, and a
+//! reference hands its last replayed proof back, without a walk, to a
+//! candidate with the same plan at the same window and walk kind.
 //!
 //! Widths 1–4 make most extents' volley counts non-multiples of the
 //! packet size, so the last packet of an extent is usually partial;
@@ -29,9 +31,10 @@ use common::arbitrary::{arb_network, arb_neuron};
 use proptest::prelude::*;
 use spacetime::core::{enumerate_inputs, Time, Volley};
 use spacetime::kernel::{ByteBlock, Plan};
-use spacetime::net::{network_to_text, parse_network, Network, NetworkBuilder};
+use spacetime::net::{network_to_text, parse_network, GateId, Network, NetworkBuilder};
 use spacetime::neuron::structural::srm0_network;
 use spacetime::tnn::train::{fresh_column, TrainConfig};
+use spacetime::trace::{SpanId, TraceBuffer};
 use spacetime::verify::equiv::{check_equiv, Counterexample, EquivProof, EquivResult, Reference};
 use spacetime::verify::eval::{Evaluator, NetEvaluator};
 use spacetime::verify::mutate::net_mutants;
@@ -518,6 +521,103 @@ fn zero_input_networks_replay_their_one_volley() {
     }
 }
 
+/// `net` with dead gates added: a `min` of its first gate with itself
+/// and, when `constant`, a finite constant. Its live cone is `net`'s,
+/// and the constant alone makes it not shift-invariant.
+fn with_dead_gates(net: &Network, constant: bool) -> Network {
+    let mut b = NetworkBuilder::from_prefix(net, net.gate_count());
+    let first = GateId::from_index(0);
+    b.min2(first, first);
+    if constant {
+        b.constant(Time::finite(3));
+    }
+    b.build(net.outputs().to_vec())
+}
+
+/// `reference.check_equiv` of `candidate`, with how many `verify.window`
+/// spans it recorded: one per extent when it walked, none when the
+/// reference handed back a kept proof.
+fn check_counting_windows<E: Evaluator>(
+    reference: &Reference<E>,
+    candidate: &Network,
+    window: u64,
+) -> (Result<EquivResult, String>, usize) {
+    let mut tracer = TraceBuffer::new();
+    let result = reference.check_equiv_traced(
+        &NetEvaluator::new(candidate),
+        window,
+        &mut tracer,
+        SpanId::NONE,
+    );
+    let windows = tracer
+        .records()
+        .iter()
+        .filter(|r| r.name == "verify.window")
+        .count();
+    (result, windows)
+}
+
+/// A refuted candidate is never kept: checked twice against one
+/// reference, `lt(x, 5)` is refuted twice at `[5]`, each time by a
+/// walk, and `min(x, x)` after it is walked too. Checked again,
+/// `min(x, x)` gets its proof back with no walk, as does `min(x, x)`
+/// with a dead gate, whose plan is the same; `max(x, x)`, another
+/// plan, is walked.
+#[test]
+fn only_proofs_are_kept() {
+    let one = |build: &dyn Fn(&mut NetworkBuilder, GateId) -> GateId| {
+        let mut b = NetworkBuilder::new();
+        let x = b.input();
+        let out = build(&mut b, x);
+        b.build([out])
+    };
+    let identity = one(&|_, x| x);
+    let gated = one(&|b, x| {
+        let c = b.constant(Time::finite(5));
+        b.lt(x, c)
+    });
+    let doubled = one(&|b, x| b.min2(x, x));
+    let joined = one(&|b, x| b.max2(x, x));
+    let dead = with_dead_gates(&doubled, false);
+    assert_eq!(
+        Plan::from_network(&doubled).live_cone(),
+        Plan::from_network(&dead).live_cone()
+    );
+
+    let live = NetEvaluator::new(&identity);
+    let reference = Reference::new(NetEvaluator::new(&identity));
+    let mut cexes = Vec::new();
+    for _ in 0..2 {
+        let (result, windows) = check_counting_windows(&reference, &gated, 6);
+        assert_eq!(result, check_equiv(&live, &NetEvaluator::new(&gated), 6));
+        assert_eq!(windows, 6, "refuted at extent 5");
+        cexes.push(
+            result
+                .unwrap()
+                .counterexample()
+                .cloned()
+                .expect("5 is not ∞"),
+        );
+    }
+    assert_eq!(cexes[0], cexes[1]);
+    assert_eq!(cexes[0].inputs, vec![Time::finite(5)]);
+    for (candidate, walked) in [
+        (&doubled, true),
+        (&doubled, false),
+        (&dead, false),
+        (&joined, true),
+    ] {
+        let (result, windows) = check_counting_windows(&reference, candidate, 6);
+        assert_eq!(result, check_equiv(&live, &NetEvaluator::new(candidate), 6));
+        assert_eq!(
+            windows,
+            if walked { 7 } else { 0 },
+            "{}",
+            network_to_text(candidate)
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -579,6 +679,49 @@ proptest! {
             }
             run.reverse();
         }
+    }
+
+    /// A reference keeps its last replayed proof for the candidate's
+    /// plan, window and walk kind. `net` with a dead gate is walked;
+    /// `net` itself, whose live cone is the same plan, gets that proof
+    /// back with no walk, equal to a live check's (names, window,
+    /// volleys). A dead finite constant leaves the plan alone but makes
+    /// the side not shift-invariant, so when `net` is invariant the
+    /// candidate takes the full walk, is walked once and counts the full
+    /// domain; when `net` is not, its proof is the one kept. Another
+    /// window is never served by a kept proof. Sides past the lane bound
+    /// are checked live every time.
+    #[test]
+    fn a_proof_is_kept_for_its_plan_window_and_walk_kind(
+        net in arb_any_network(),
+        window in 0u64..=4,
+    ) {
+        let live = NetEvaluator::new(&net);
+        let reference = Reference::new(NetEvaluator::new(&net));
+        let replays = takes_lanes(&net, window);
+        let (dead, constant) = (with_dead_gates(&net, false), with_dead_gates(&net, true));
+        let invariant = live.invariant();
+        prop_assert!(!NetEvaluator::new(&constant).invariant());
+        let extents = window as usize + 1;
+        for (candidate, walks) in [
+            (&dead, true),
+            (&net, !replays),
+            (&constant, !replays || invariant),
+            (&constant, !replays),
+            (&net, !replays || invariant),
+        ] {
+            let (result, windows) = check_counting_windows(&reference, candidate, window);
+            let fresh = check_equiv(&live, &NetEvaluator::new(candidate), window);
+            prop_assert_eq!(&result, &fresh, "{}", network_to_text(candidate));
+            prop_assert_eq!(windows, if walks { extents } else { 0 });
+            let proof = result.unwrap().proof().cloned().expect("dead gates change nothing");
+            let normalized = invariant && NetEvaluator::new(candidate).invariant();
+            prop_assert_eq!(proof.volleys, walked(net.input_count(), window, normalized));
+        }
+        // At the next window the kept proof's window no longer matches.
+        let (result, windows) = check_counting_windows(&reference, &net, window + 1);
+        prop_assert_eq!(result, check_equiv(&live, &NetEvaluator::new(&net), window + 1));
+        prop_assert_eq!(windows, extents + 1);
     }
 
     /// A run walks the original once per walk kind: after every candidate

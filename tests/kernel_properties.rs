@@ -3,6 +3,14 @@
 //! and 7 worker threads; the metered and probed entry points are
 //! observationally identical to the plain ones; and the deterministic
 //! `kernel.*` counters never depend on the thread count.
+//!
+//! Every walk over a plan's steps — `u64` words, byte blocks,
+//! pre-packed blocks and the scalar path — is checked against
+//! `Network::eval` and `Network::trace` on networks built to reach every
+//! step form: merges of one, two and three or more sources, repeated
+//! operands, `inc` chains ending at and past the lane ceiling, and
+//! finite and `∞` constants. Packet counts and gate events are derived
+//! gate by gate from the trace.
 
 mod common;
 
@@ -11,11 +19,11 @@ use proptest::prelude::*;
 use spacetime::batch::{BatchEvaluator, CompiledArtifact};
 use spacetime::core::{lane, FunctionTable, Time, Volley};
 use spacetime::grl::compile_network;
-use spacetime::kernel::{ByteBlock, Plan, Scratch, MAX_PACKET};
+use spacetime::kernel::{ByteBlock, PacketStats, Plan, Scratch, MAX_PACKET};
 use spacetime::metrics::{MetricsRegistry, NullMetrics};
 use spacetime::net::sorting::sorting_network;
 use spacetime::net::synth::{synthesize, SynthesisOptions};
-use spacetime::net::NetworkBuilder;
+use spacetime::net::{GateKind, Network, NetworkBuilder};
 use spacetime::neuron::structural::srm0_network;
 use spacetime::obs::{NullProbe, ObsEvent, Recorder};
 use spacetime::trace::{NullTracer, SpanId};
@@ -24,6 +32,159 @@ fn to_volleys(raw: &[Vec<Time>], width: usize) -> Vec<Volley> {
     raw.iter()
         .map(|v| Volley::new(v[..width].to_vec()))
         .collect()
+}
+
+/// One gate of [`arb_step_network`]. Source fields are raw draws,
+/// resolved modulo the gates that exist when the gate is built.
+#[derive(Debug, Clone)]
+enum StepSpec {
+    Const(Time),
+    /// `min` (`false`) or `max` (`true`) of one to five sources.
+    Merge(bool, Vec<usize>),
+    Lt(usize, usize),
+    /// `min(a, a)`, `max(a, a)` or `lt(a, a)`.
+    Repeat(u8, usize),
+    /// An `inc` of the total, or two stacked ones summing to it.
+    Chain(usize, u64, bool),
+}
+
+/// Random networks of widths 1–4 reaching every step form: one-source
+/// merges, two-source and wide merges, repeated operands, `inc`s and
+/// two-`inc` chains of total 250–254 and 255–300 (so the lane limit
+/// lands on 0–4 or is gone, unless the chain is dead), and finite,
+/// near-ceiling and `∞` constants.
+fn arb_step_network() -> impl Strategy<Value = Network> {
+    let draw = 0usize..1 << 16;
+    let constant = prop_oneof![
+        3 => (0u64..6).prop_map(Time::finite),
+        1 => (250u64..=254).prop_map(Time::finite),
+        1 => Just(Time::INFINITY),
+    ];
+    let spec = prop_oneof![
+        2 => constant.prop_map(StepSpec::Const),
+        6 => (prop_oneof![Just(false), Just(true)], prop::collection::vec(draw.clone(), 1..=5))
+            .prop_map(|(max, srcs)| StepSpec::Merge(max, srcs)),
+        2 => (draw.clone(), draw.clone()).prop_map(|(a, b)| StepSpec::Lt(a, b)),
+        2 => (0u8..3, draw.clone()).prop_map(|(op, a)| StepSpec::Repeat(op, a)),
+        2 => (draw.clone(), prop_oneof![250u64..=254, 255u64..=300], prop_oneof![Just(false), Just(true)])
+            .prop_map(|(a, total, split)| StepSpec::Chain(a, total, split)),
+    ];
+    (
+        1usize..=4,
+        prop::collection::vec(spec, 1..16),
+        prop::collection::vec(draw, 1..=3),
+    )
+        .prop_map(|(width, specs, outs)| {
+            let mut b = NetworkBuilder::new();
+            let mut ids = b.inputs(width);
+            for spec in specs {
+                let pick = |i: usize| ids[i % ids.len()];
+                let id = match spec {
+                    StepSpec::Const(t) => b.constant(t),
+                    StepSpec::Merge(false, srcs) => b.min(srcs.into_iter().map(pick)).unwrap(),
+                    StepSpec::Merge(true, srcs) => b.max(srcs.into_iter().map(pick)).unwrap(),
+                    StepSpec::Lt(x, y) => b.lt(pick(x), pick(y)),
+                    StepSpec::Repeat(0, a) => b.min2(pick(a), pick(a)),
+                    StepSpec::Repeat(1, a) => b.max2(pick(a), pick(a)),
+                    StepSpec::Repeat(_, a) => b.lt(pick(a), pick(a)),
+                    StepSpec::Chain(a, total, false) => b.inc(pick(a), total),
+                    StepSpec::Chain(a, total, true) => {
+                        let first = b.inc(pick(a), total / 2);
+                        b.inc(first, total - total / 2)
+                    }
+                };
+                ids.push(id);
+            }
+            let outputs: Vec<_> = outs.iter().map(|&o| ids[o % ids.len()]).collect();
+            b.build(outputs)
+        })
+}
+
+/// `raw` cut to `width` lines with every finite time past `limit` made
+/// silent, so every volley is within the plan's lane bound.
+fn fitted(raw: &[Vec<Time>], width: usize, limit: u64) -> Vec<Volley> {
+    raw.iter()
+        .map(|v| {
+            Volley::new(
+                v[..width]
+                    .iter()
+                    .map(|&t| {
+                        if t.value().is_some_and(|v| v > limit) {
+                            Time::INFINITY
+                        } else {
+                            t
+                        }
+                    })
+                    .collect(),
+            )
+        })
+        .collect()
+}
+
+/// The stream `Plan::eval_instrumented` must record for `inputs`: one
+/// `GateFired` per gate with a finite time in `Network::trace`, tagged
+/// with the gate's kind.
+fn trace_events(network: &Network, inputs: &[Time]) -> Vec<ObsEvent> {
+    let trace = network.trace(inputs).unwrap();
+    network
+        .iter_gates()
+        .zip(trace)
+        .filter(|(_, at)| at.is_finite())
+        .map(|((id, kind), at)| ObsEvent::GateFired {
+            gate: id.index(),
+            op: match kind {
+                GateKind::Input(_) => "input",
+                GateKind::Const(_) => "const",
+                GateKind::Min => "min",
+                GateKind::Max => "max",
+                GateKind::Lt => "lt",
+                GateKind::Inc(_) => "inc",
+                other => panic!("unknown gate kind {other:?}"),
+            },
+            at,
+        })
+        .collect()
+}
+
+/// The counts one packet of `volleys` must report, gate by gate from
+/// `Network::trace`. On words (up to eight volleys, the lanes past them
+/// silent) a gate with sources is skipped exactly when every lane of
+/// every source is `∞` — a lane holds its gate's time, saturated to `∞`
+/// past 254 — and evaluated otherwise; byte blocks skip none. Inputs and
+/// constants count neither way.
+fn expected_stats(network: &Network, volleys: &[Volley]) -> PacketStats {
+    let gated = || {
+        network
+            .iter_gates()
+            .map(|(id, _)| network.sources(id).unwrap())
+            .filter(|srcs| !srcs.is_empty())
+    };
+    if volleys.len() > lane::LANES {
+        return PacketStats {
+            gates_swar: gated().count() as u64,
+            gates_skipped: 0,
+        };
+    }
+    let silent_lane = Volley::silent(network.input_count());
+    let traces: Vec<Vec<Time>> = (0..lane::LANES)
+        .map(|j| {
+            network
+                .trace(volleys.get(j).unwrap_or(&silent_lane).times())
+                .unwrap()
+        })
+        .collect();
+    let silent = |g: usize| {
+        traces
+            .iter()
+            .all(|t| lane::encode(t[g]).is_none_or(|b| b == lane::INF))
+    };
+    let skipped = gated()
+        .filter(|srcs| srcs.iter().all(|s| silent(s.index())))
+        .count() as u64;
+    PacketStats {
+        gates_swar: gated().count() as u64 - skipped,
+        gates_skipped: skipped,
+    }
 }
 
 proptest! {
@@ -273,14 +434,67 @@ proptest! {
         prop_assert_eq!(sink.counter("kernel.gates"), plan.gate_count() as u64);
         let mut recorder = Recorder::new();
         prop_assert_eq!(&plan.eval_instrumented(inputs, &mut recorder, &mut NullMetrics).unwrap(), &plain);
-        // Every recorded firing is a finite-valued gate in plan order.
-        let mut last = None;
-        for event in recorder.events() {
-            if let ObsEvent::GateFired { gate, at, .. } = *event {
-                prop_assert!(at.is_finite());
-                prop_assert!(last.is_none_or(|g| g < gate));
-                last = Some(gate);
+        // Event for event, the firings `Network::trace` reports.
+        prop_assert_eq!(recorder.events(), &trace_events(&network, inputs)[..]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every walk over a plan's steps equals `Network::eval`: the scalar
+    /// path on every volley, and where the plan has a lane bound, word
+    /// packets of 1–8 volleys, one byte packet of 9–256 and one
+    /// pre-packed packet of all of them (junk in the lanes past its
+    /// end). Each packet counts exactly the gates its trace says it
+    /// evaluated or skipped, and the scalar path reports exactly the
+    /// trace's firings.
+    #[test]
+    fn every_step_walk_matches_the_network(
+        network in arb_step_network(),
+        raw_volleys in prop::collection::vec(arb_volley(4), 1..=MAX_PACKET),
+        word in 1usize..=lane::LANES,
+        junk in 0u8..=u8::MAX,
+    ) {
+        let plan = Plan::from_network(&network);
+        let width = network.input_count();
+        for raw in &raw_volleys {
+            let inputs = &raw[..width];
+            prop_assert_eq!(plan.eval(inputs), network.eval(inputs));
+            let mut recorder = Recorder::new();
+            plan.eval_instrumented(inputs, &mut recorder, &mut NullMetrics).unwrap();
+            prop_assert_eq!(recorder.events(), &trace_events(&network, inputs)[..]);
+        }
+        let Some(limit) = plan.lane_input_limit() else {
+            return Ok(());
+        };
+        let volleys = fitted(&raw_volleys, width, limit);
+        prop_assert!(plan.lane_capable(&volleys));
+        let mut scratch = Scratch::default();
+        let mut packets: Vec<&[Volley]> = volleys.chunks(word).collect();
+        if volleys.len() > lane::LANES {
+            packets.push(&volleys);
+        }
+        for packet in packets {
+            let mut out = vec![Volley::default(); packet.len()];
+            let stats = plan.eval_packet(&mut scratch, packet, &mut out);
+            for (volley, got) in packet.iter().zip(&out) {
+                prop_assert_eq!(got.times(), &network.eval(volley.times()).unwrap()[..]);
             }
+            prop_assert_eq!(stats, expected_stats(&network, packet), "{} volleys", packet.len());
+        }
+        let mut inputs = vec![[junk; MAX_PACKET]; width];
+        for (j, volley) in volleys.iter().enumerate() {
+            for (block, &t) in inputs.iter_mut().zip(volley.times()) {
+                block[j] = lane::encode(t).unwrap();
+            }
+        }
+        let mut outputs = vec![[0; MAX_PACKET]; plan.output_width()];
+        let stats = plan.eval_blocks(&mut scratch, &inputs, &mut outputs);
+        prop_assert_eq!(stats.gates_skipped, 0);
+        for (j, volley) in volleys.iter().enumerate() {
+            let lanes: Vec<Time> = outputs.iter().map(|block| lane::decode(block[j])).collect();
+            prop_assert_eq!(lanes, network.eval(volley.times()).unwrap(), "lane {}", j);
         }
     }
 }
