@@ -28,6 +28,7 @@
 //! | [`lattice`] | executable statements of the lattice laws |
 //! | [`function`] | the [`SpaceTimeFunction`] trait and property checkers |
 //! | [`hash`] | a small multiplicative hasher for integer-keyed maps |
+//! | [`json`] | the one JSON reader and string escaper, and the `Time` ↔ ticks-or-`null` codec |
 //! | [`expr`] | an AST over the primitives, with Lemma 2 `max`-elimination |
 //! | [`mod@simplify`] | lattice-law rewriting of expressions |
 //! | [`parse`] | s-expression parsing for [`Expr`] |
@@ -65,6 +66,7 @@ pub mod error;
 pub mod expr;
 pub mod function;
 pub mod hash;
+pub mod json;
 pub mod lane;
 pub mod lattice;
 pub mod ops;

@@ -27,6 +27,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
+use st_core::json::Json;
 use st_core::Time;
 use st_lint::{LintGraph, LintOp};
 
@@ -190,7 +191,7 @@ impl Provenance {
             "\"volley\":{},\"gate\":{},\"at\":{},\"minimized\":{},",
             self.volley,
             self.gate,
-            json_time(self.at),
+            Json::from(self.at),
             self.minimized
         );
         out.push_str("\"nodes\":[");
@@ -201,7 +202,7 @@ impl Provenance {
             let _ = write!(
                 out,
                 "{{\"gate\":{id},\"op\":\"{op}\",\"at\":{}}}",
-                json_time(at)
+                Json::from(at)
             );
         }
         out.push_str("],\"edges\":[");
@@ -220,7 +221,7 @@ impl Provenance {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&json_time(*t));
+            let _ = write!(out, "{}", Json::from(*t));
         }
         out.push_str("]}");
         out
@@ -278,11 +279,6 @@ impl Provenance {
 fn fmt_time(t: Time) -> String {
     t.value()
         .map_or_else(|| "inf".to_owned(), |v| v.to_string())
-}
-
-fn json_time(t: Time) -> String {
-    t.value()
-        .map_or_else(|| "null".to_owned(), |v| v.to_string())
 }
 
 /// The direct causes of `node`'s recorded outcome, as
@@ -596,7 +592,7 @@ mod tests {
         let json = prov.to_json();
         assert!(json.contains("\"minimized\":true"), "{json}");
         assert!(json.contains("\"witness\":[0,null,2]"), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert!(Json::parse(&json).is_ok(), "{json}");
 
         let text = prov.render();
         assert!(text.contains("fired at 1"), "{text}");

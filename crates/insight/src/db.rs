@@ -162,7 +162,8 @@ impl SpikeDb {
         if self.volleys.is_empty() {
             self.volleys.push(VolleyTrace::default());
         }
-        self.volleys.last_mut().expect("non-empty")
+        let last = self.volleys.len() - 1;
+        &mut self.volleys[last]
     }
 
     fn push_spike(&mut self, unit: Unit, at: Time) {

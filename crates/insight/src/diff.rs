@@ -18,6 +18,7 @@
 //! `None` when the runs agree everywhere — `spacetime inspect --diff`
 //! maps that to the workspace's 0/1 exit convention.
 
+use st_core::json::Json;
 use st_core::Time;
 use st_lint::LintGraph;
 
@@ -27,11 +28,6 @@ use crate::InsightError;
 fn fmt_time(t: Time) -> String {
     t.value()
         .map_or_else(|| "inf".to_owned(), |v| v.to_string())
-}
-
-fn json_time(t: Time) -> String {
-    t.value()
-        .map_or_else(|| "null".to_owned(), |v| v.to_string())
 }
 
 /// The first gate-level disagreement between two same-shape runs.
@@ -84,15 +80,15 @@ impl GateDivergence {
         let sources: Vec<String> = self
             .sources
             .iter()
-            .map(|&(s, t)| format!("{{\"gate\":{s},\"at\":{}}}", json_time(t)))
+            .map(|&(s, t)| format!("{{\"gate\":{s},\"at\":{}}}", Json::from(t)))
             .collect();
         format!(
             "{{\"volley\":{},\"gate\":{},\"op\":\"{}\",\"a\":{},\"b\":{},\"sources\":[{}]}}",
             self.volley,
             self.gate,
             self.op,
-            json_time(self.in_a),
-            json_time(self.in_b),
+            Json::from(self.in_a),
+            Json::from(self.in_b),
             sources.join(",")
         )
     }
@@ -132,8 +128,8 @@ impl OutputDivergence {
             "{{\"volley\":{},\"line\":{},\"a\":{},\"b\":{}}}",
             self.volley,
             self.line,
-            json_time(self.in_a),
-            json_time(self.in_b)
+            Json::from(self.in_a),
+            Json::from(self.in_b)
         )
     }
 }

@@ -67,6 +67,7 @@
 //! assert_eq!(prov.witness, vec![t(0), Time::INFINITY, t(2)]);
 //! # Ok::<(), st_insight::InsightError>(())
 //! ```
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod analytics;
 pub mod cone;

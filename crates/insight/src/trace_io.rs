@@ -1,16 +1,19 @@
 //! Reading `spacetime-obs/1` JSONL traces back into typed events.
 //!
-//! `st-obs` exports every event as one *flat* JSON object per line (no
-//! nesting, no escaped strings), behind a schema header. That restricted
-//! shape is parsed here with a small field scanner rather than a JSON
-//! dependency — the workspace is deliberately dependency-free, and the
-//! exporter's golden tests pin the exact bytes this reader accepts.
+//! `st-obs` exports every event as one flat JSON object per line, behind
+//! a schema header. Each line is parsed as one document by the
+//! workspace's JSON reader ([`st_core::json::Json`]), so a line that is
+//! not exactly one JSON object — a garbage prefix, a missing `}`, a
+//! repeated key, nesting past [`st_core::json::MAX_DEPTH`] — is rejected.
 //!
 //! Validation is strict: a missing or foreign schema header, an unknown
-//! event kind, an unknown gate op, or an event count that disagrees with
-//! the header all fail with a line-numbered [`InsightError::BadTrace`] —
-//! a truncated or hand-edited trace is rejected, never half-loaded.
+//! event kind or gate op, a field of the wrong type, a number outside its
+//! field's range (a time of `u64::MAX`, the reserved `∞` encoding, or a
+//! weight outside `i32`), or an event count that disagrees with the
+//! header all fail with a line-numbered [`InsightError::BadTrace`] — a
+//! truncated or hand-edited trace is rejected, never half-loaded.
 
+use st_core::json::Json;
 use st_core::Time;
 use st_obs::{ObsEvent, JSONL_SCHEMA};
 
@@ -35,168 +38,143 @@ impl ParsedTrace {
     }
 }
 
-/// The raw text of one field's value within a flat JSON object line:
-/// everything between `"key":` and the next top-level `,` or the closing
-/// `}`. Only sound for the flat, escape-free objects st-obs emits.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    // A string value may not contain `,` or `}` (op/stage names don't);
-    // numeric and null values never do.
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
+/// One line's JSON object with its 1-based line number, for
+/// line-numbered field errors.
+struct Line {
+    object: Json,
+    number: usize,
 }
 
-/// A required unsigned-integer field.
-fn uint(line: &str, key: &str, lineno: usize) -> Result<u64, InsightError> {
-    field(line, key)
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| InsightError::BadTrace {
-            line: lineno,
-            message: format!("missing or non-integer field \"{key}\""),
-        })
-}
-
-/// A required signed-integer field (potentials and weights go negative).
-fn int(line: &str, key: &str, lineno: usize) -> Result<i64, InsightError> {
-    field(line, key)
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| InsightError::BadTrace {
-            line: lineno,
-            message: format!("missing or non-integer field \"{key}\""),
-        })
-}
-
-/// A required quoted-string field, unquoted.
-fn string<'a>(line: &'a str, key: &str, lineno: usize) -> Result<&'a str, InsightError> {
-    field(line, key)
-        .and_then(|v| v.strip_prefix('"'))
-        .and_then(|v| v.strip_suffix('"'))
-        .ok_or_else(|| InsightError::BadTrace {
-            line: lineno,
-            message: format!("missing or non-string field \"{key}\""),
-        })
-}
-
-/// A required model-time field: ticks, or `null` for `∞`.
-fn time(line: &str, key: &str, lineno: usize) -> Result<Time, InsightError> {
-    match field(line, key) {
-        Some("null") => Ok(Time::INFINITY),
-        Some(v) => v
-            .parse()
-            .map(Time::finite)
-            .map_err(|_| InsightError::BadTrace {
-                line: lineno,
-                message: format!("field \"{key}\" is neither ticks nor null"),
-            }),
-        None => Err(InsightError::BadTrace {
-            line: lineno,
-            message: format!("missing time field \"{key}\""),
-        }),
+impl Line {
+    fn parse(text: &str, number: usize) -> Result<Line, InsightError> {
+        let line = Line {
+            object: Json::parse(text).map_err(|e| bad(number, e))?,
+            number,
+        };
+        if line.object.as_obj().is_none() {
+            return Err(bad(number, "not a JSON object".to_owned()));
+        }
+        Ok(line)
     }
+
+    fn bad(&self, message: String) -> InsightError {
+        bad(self.number, message)
+    }
+
+    fn field(&self, key: &str) -> Result<&Json, InsightError> {
+        self.object
+            .get(key)
+            .ok_or_else(|| self.bad(format!("missing field \"{key}\"")))
+    }
+
+    /// A required integer field, in range for `T`.
+    fn int<T: TryFrom<i128>>(&self, key: &str) -> Result<T, InsightError> {
+        self.object.get(key).and_then(Json::as_int).ok_or_else(|| {
+            self.bad(format!(
+                "missing, non-integer or out-of-range field \"{key}\""
+            ))
+        })
+    }
+
+    /// A required string field.
+    fn string(&self, key: &str) -> Result<&str, InsightError> {
+        self.object
+            .get(key)
+            .and_then(Json::as_str)
+            .ok_or_else(|| self.bad(format!("missing or non-string field \"{key}\"")))
+    }
+
+    /// A required model-time field: ticks, or `null` for `∞`.
+    fn time(&self, key: &str) -> Result<Time, InsightError> {
+        self.field(key)?
+            .as_time()
+            .ok_or_else(|| self.bad(format!("field \"{key}\" is neither ticks nor null")))
+    }
+}
+
+fn bad(line: usize, message: String) -> InsightError {
+    InsightError::BadTrace { line, message }
 }
 
 /// Interns a recorded gate-op name back to the `&'static str` the event
 /// vocabulary carries. The six names are the complete `st-net` gate set.
-fn intern_op(op: &str, lineno: usize) -> Result<&'static str, InsightError> {
-    for known in ["input", "const", "inc", "min", "max", "lt"] {
-        if op == known {
-            return Ok(known);
-        }
-    }
-    Err(InsightError::BadTrace {
-        line: lineno,
-        message: format!("unknown gate op {op:?}"),
-    })
+fn intern_op(line: &Line) -> Result<&'static str, InsightError> {
+    let op = line.string("op")?;
+    ["input", "const", "inc", "min", "max", "lt"]
+        .into_iter()
+        .find(|&known| known == op)
+        .ok_or_else(|| line.bad(format!("unknown gate op {op:?}")))
 }
 
 /// Interns a recorded stage name; `"eval"` is the only stage the batch
 /// engine currently emits.
-fn intern_stage(stage: &str, lineno: usize) -> Result<&'static str, InsightError> {
-    if stage == "eval" {
-        return Ok("eval");
+fn intern_stage(line: &Line) -> Result<&'static str, InsightError> {
+    match line.string("stage")? {
+        "eval" => Ok("eval"),
+        other => Err(line.bad(format!("unknown stage {other:?}"))),
     }
-    Err(InsightError::BadTrace {
-        line: lineno,
-        message: format!("unknown stage {stage:?}"),
-    })
 }
 
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-fn parse_event(line: &str, lineno: usize) -> Result<ObsEvent, InsightError> {
-    let kind = string(line, "kind", lineno)?;
-    Ok(match kind {
+fn parse_event(line: &Line) -> Result<ObsEvent, InsightError> {
+    Ok(match line.string("kind")? {
         "volley_start" => ObsEvent::VolleyStart {
-            index: uint(line, "index", lineno)? as usize,
+            index: line.int("index")?,
         },
         "gate_fired" => ObsEvent::GateFired {
-            gate: uint(line, "gate", lineno)? as usize,
-            op: intern_op(string(line, "op", lineno)?, lineno)?,
-            at: time(line, "at", lineno)?,
+            gate: line.int("gate")?,
+            op: intern_op(line)?,
+            at: line.time("at")?,
         },
         "wire_fell" => ObsEvent::WireFell {
-            wire: uint(line, "wire", lineno)? as usize,
-            at: time(line, "at", lineno)?,
+            wire: line.int("wire")?,
+            at: line.time("at")?,
         },
         "latch_blocked" => ObsEvent::LatchBlocked {
-            wire: uint(line, "wire", lineno)? as usize,
-            at: time(line, "at", lineno)?,
+            wire: line.int("wire")?,
+            at: line.time("at")?,
         },
         "potential" => ObsEvent::Potential {
-            neuron: uint(line, "neuron", lineno)? as usize,
-            at: time(line, "at", lineno)?,
-            potential: int(line, "potential", lineno)?,
+            neuron: line.int("neuron")?,
+            at: line.time("at")?,
+            potential: line.int("potential")?,
         },
         "neuron_spike" => ObsEvent::NeuronSpike {
-            neuron: uint(line, "neuron", lineno)? as usize,
-            at: time(line, "at", lineno)?,
+            neuron: line.int("neuron")?,
+            at: line.time("at")?,
         },
         "wta_decision" => ObsEvent::WtaDecision {
-            winner: match field(line, "winner") {
-                Some("null") => None,
-                Some(v) => Some(v.parse().map_err(|_| InsightError::BadTrace {
-                    line: lineno,
-                    message: "field \"winner\" is neither an index nor null".to_owned(),
+            winner: match line.field("winner")? {
+                Json::Null => None,
+                w => Some(w.as_int().ok_or_else(|| {
+                    line.bad("field \"winner\" is neither an index nor null".to_owned())
                 })?),
-                None => {
-                    return Err(InsightError::BadTrace {
-                        line: lineno,
-                        message: "missing field \"winner\"".to_owned(),
-                    })
-                }
             },
-            tied: uint(line, "tied", lineno)? as usize,
+            tied: line.int("tied")?,
         },
         "weight_delta" => ObsEvent::WeightDelta {
-            neuron: uint(line, "neuron", lineno)? as usize,
-            synapse: uint(line, "synapse", lineno)? as usize,
-            before: int(line, "before", lineno)? as i32,
-            after: int(line, "after", lineno)? as i32,
+            neuron: line.int("neuron")?,
+            synapse: line.int("synapse")?,
+            before: line.int("before")?,
+            after: line.int("after")?,
         },
         "stage_timing" => ObsEvent::StageTiming {
-            stage: intern_stage(string(line, "stage", lineno)?, lineno)?,
-            start_nanos: uint(line, "start_nanos", lineno)?,
-            nanos: uint(line, "nanos", lineno)?,
+            stage: intern_stage(line)?,
+            start_nanos: line.int("start_nanos")?,
+            nanos: line.int("nanos")?,
         },
         "chunk_timing" => ObsEvent::ChunkTiming {
-            worker: uint(line, "worker", lineno)? as usize,
-            start: uint(line, "start", lineno)? as usize,
-            len: uint(line, "len", lineno)? as usize,
-            start_nanos: uint(line, "start_nanos", lineno)?,
-            nanos: uint(line, "nanos", lineno)?,
+            worker: line.int("worker")?,
+            start: line.int("start")?,
+            len: line.int("len")?,
+            start_nanos: line.int("start_nanos")?,
+            nanos: line.int("nanos")?,
         },
         "volley_timed" => ObsEvent::VolleyTimed {
-            index: uint(line, "index", lineno)? as usize,
-            nanos: uint(line, "nanos", lineno)?,
-            spikes: uint(line, "spikes", lineno)? as usize,
+            index: line.int("index")?,
+            nanos: line.int("nanos")?,
+            spikes: line.int("spikes")?,
         },
-        other => {
-            return Err(InsightError::BadTrace {
-                line: lineno,
-                message: format!("unknown event kind {other:?}"),
-            })
-        }
+        other => return Err(line.bad(format!("unknown event kind {other:?}"))),
     })
 }
 
@@ -207,45 +185,51 @@ fn parse_event(line: &str, lineno: usize) -> Result<ObsEvent, InsightError> {
 /// # Errors
 ///
 /// [`InsightError::BadTrace`] when the header is missing or declares a
-/// foreign schema, when any line is malformed, or when the event count
-/// disagrees with the header (a truncated file).
+/// foreign schema, when any line is not one JSON object or holds a
+/// malformed event, or when the event count disagrees with the header
+/// (a truncated file).
 pub fn parse_trace(text: &str) -> Result<ParsedTrace, InsightError> {
     let mut lines = text.lines();
-    let header = lines.next().ok_or_else(|| InsightError::BadTrace {
-        line: 0,
-        message: "empty file".to_owned(),
-    })?;
-    let schema = string(header, "schema", 1).map_err(|_| InsightError::BadTrace {
-        line: 0,
-        message: format!(
-            "first line must be a {JSONL_SCHEMA:?} header (is this a raw event dump \
-             from an older export?)"
-        ),
-    })?;
+    let header = lines
+        .next()
+        .ok_or_else(|| bad(0, "empty file".to_owned()))?;
+    let header = Line::parse(header, 1)
+        .ok()
+        .filter(|h| h.object.get("schema").and_then(Json::as_str).is_some())
+        .ok_or_else(|| {
+            bad(
+                0,
+                format!(
+                    "first line must be a {JSONL_SCHEMA:?} header (is this a raw event dump \
+                     from an older export?)"
+                ),
+            )
+        })?;
+    let schema = header.string("schema")?;
     if schema != JSONL_SCHEMA {
-        return Err(InsightError::BadTrace {
-            line: 0,
-            message: format!("schema is {schema:?}, this reader understands {JSONL_SCHEMA:?}"),
-        });
+        return Err(bad(
+            0,
+            format!("schema is {schema:?}, this reader understands {JSONL_SCHEMA:?}"),
+        ));
     }
-    let declared = uint(header, "events", 1)?;
-    let dropped = uint(header, "dropped", 1)?;
+    let declared: u64 = header.int("events")?;
+    let dropped = header.int("dropped")?;
 
     let mut events = Vec::new();
     for (i, line) in lines.enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        events.push(parse_event(line, i + 2)?);
+        events.push(parse_event(&Line::parse(line, i + 2)?)?);
     }
     if events.len() as u64 != declared {
-        return Err(InsightError::BadTrace {
-            line: 0,
-            message: format!(
+        return Err(bad(
+            0,
+            format!(
                 "header declares {declared} event(s) but the file holds {} — truncated?",
                 events.len()
             ),
-        });
+        ));
     }
     Ok(ParsedTrace { events, dropped })
 }
@@ -366,6 +350,47 @@ mod tests {
         let text = "{\"schema\":\"spacetime-obs/1\",\"events\":1,\"dropped\":0}\n\
                     {\"kind\":\"gate_melted\"}\n";
         assert!(parse_trace(text).is_err());
+    }
+
+    const HEADER: &str = "{\"schema\":\"spacetime-obs/1\",\"events\":1,\"dropped\":0}\n";
+
+    fn line_two_error(line: &str) -> String {
+        match parse_trace(&format!("{HEADER}{line}\n")) {
+            Err(InsightError::BadTrace { line: 2, message }) => message,
+            other => panic!("{line}: expected a line-2 error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_lines_that_are_not_one_json_object() {
+        let garbage = line_two_error("garbage{\"kind\":\"volley_start\",\"index\":0}");
+        assert!(garbage.contains("unexpected character 'g'"), "{garbage}");
+        let open = line_two_error("{\"kind\":\"volley_start\",\"index\":0");
+        assert!(open.contains("expected ',' or '}'"), "{open}");
+        let repeated = line_two_error("{\"kind\":\"volley_start\",\"index\":0,\"index\":1}");
+        assert!(repeated.contains("repeated key \"index\""), "{repeated}");
+        let array = line_two_error("[\"volley_start\"]");
+        assert!(array.contains("not a JSON object"), "{array}");
+        let deep = format!(
+            "{{\"kind\":\"volley_start\",\"index\":{}",
+            "[".repeat(50_000)
+        );
+        assert!(line_two_error(&deep).contains("nesting deeper than"));
+    }
+
+    #[test]
+    fn rejects_numbers_outside_their_fields_range() {
+        let at = line_two_error(
+            "{\"kind\":\"gate_fired\",\"gate\":0,\"op\":\"input\",\"at\":18446744073709551615}",
+        );
+        assert_eq!(at, "field \"at\" is neither ticks nor null");
+        let before = line_two_error(
+            "{\"kind\":\"weight_delta\",\"neuron\":0,\"synapse\":0,\
+             \"before\":4294967297,\"after\":0}",
+        );
+        assert!(before.contains("\"before\""), "{before}");
+        let negative = line_two_error("{\"kind\":\"volley_start\",\"index\":-1}");
+        assert!(negative.contains("\"index\""), "{negative}");
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! JSON rendering and parsing for [`Report`]s.
 //!
-//! The build environment vendors no serde, so this module carries a small
-//! hand-written emitter and a strict recursive-descent parser for the one
-//! document shape we need. The shape is stable:
+//! The build environment vendors no serde, so the emitter is written by
+//! hand for the one document shape we need, with strings escaped by
+//! [`st_core::json::escape`], and [`Report::from_json`] reads through the
+//! workspace's one JSON reader, [`st_core::json::Json`]. The shape is
+//! stable:
 //!
 //! ```json
 //! {
@@ -23,34 +25,17 @@
 //! `Report::from_json(report.to_json())` reconstructs the report exactly;
 //! the CLI's `--json` output round-trips through this parser in tests.
 
+use std::fmt::Write as _;
+
+use st_core::json::{escape, Json};
+
 use crate::diag::{Code, Diagnostic, Location, Report, Severity};
-
-// ---------------------------------------------------------------------------
-// Emission
-// ---------------------------------------------------------------------------
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 impl Report {
     /// Renders the report as a JSON document (the shape documented in
     /// `docs/lint.md`, § JSON shape).
     #[must_use]
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::from("{\n  \"version\": 1,\n  \"summary\": { ");
         let _ = write!(
             out,
@@ -71,14 +56,10 @@ impl Report {
             if let Some(index) = d.location.index() {
                 let _ = write!(out, ", \"index\": {index}");
             }
-            out.push_str(" }, \"message\": \"");
-            escape_into(&mut out, &d.message);
-            out.push_str("\", \"hint\": ");
+            let _ = write!(out, " }}, \"message\": {}, \"hint\": ", escape(&d.message));
             match &d.hint {
                 Some(h) => {
-                    out.push('"');
-                    escape_into(&mut out, h);
-                    out.push('"');
+                    let _ = write!(out, "{}", escape(h));
                 }
                 None => out.push_str("null"),
             }
@@ -97,50 +78,41 @@ impl Report {
     /// # Errors
     ///
     /// Returns a message describing the first syntactic or semantic
-    /// problem (unknown code, bad severity, malformed location, …).
+    /// problem (malformed JSON, unknown code, bad severity, malformed
+    /// location, …).
     pub fn from_json(text: &str) -> Result<Report, String> {
-        let value = Parser::new(text).parse_document()?;
-        let object = value.as_object().ok_or("top level must be an object")?;
-        let diags = get(object, "diagnostics")?
-            .as_array()
+        let value = Json::parse(text)?;
+        let diags = get(&value, "diagnostics")?
+            .as_arr()
             .ok_or("`diagnostics` must be an array")?;
         let mut report = Report::new();
         for (i, d) in diags.iter().enumerate() {
-            let d = d
-                .as_object()
-                .ok_or_else(|| format!("diagnostic {i} must be an object"))?;
+            let bad = |what: &str| format!("diagnostic {i}: {what}");
             let code = get(d, "code")?
                 .as_str()
                 .and_then(Code::parse)
-                .ok_or_else(|| format!("diagnostic {i}: bad code"))?;
+                .ok_or_else(|| bad("bad code"))?;
             let severity = get(d, "severity")?
                 .as_str()
                 .and_then(Severity::parse)
-                .ok_or_else(|| format!("diagnostic {i}: bad severity"))?;
-            let loc = get(d, "location")?
-                .as_object()
-                .ok_or_else(|| format!("diagnostic {i}: location must be an object"))?;
+                .ok_or_else(|| bad("bad severity"))?;
+            let loc = get(d, "location")?;
             let kind = get(loc, "kind")?
                 .as_str()
-                .ok_or_else(|| format!("diagnostic {i}: location kind must be a string"))?;
-            let index = match loc.iter().find(|(k, _)| k == "index") {
-                Some((_, v)) => Some(
-                    v.as_u64()
-                        .ok_or_else(|| format!("diagnostic {i}: bad location index"))?
-                        as usize,
-                ),
+                .ok_or_else(|| bad("location kind must be a string"))?;
+            let index = match loc.get("index") {
+                Some(v) => Some(v.as_int().ok_or_else(|| bad("bad location index"))?),
                 None => None,
             };
-            let location = Location::from_parts(kind, index)
-                .ok_or_else(|| format!("diagnostic {i}: bad location"))?;
+            let location = Location::from_parts(kind, index).ok_or_else(|| bad("bad location"))?;
             let message = get(d, "message")?
                 .as_str()
-                .ok_or_else(|| format!("diagnostic {i}: message must be a string"))?
+                .ok_or_else(|| bad("message must be a string"))?
                 .to_owned();
             let hint = match get(d, "hint")? {
-                Value::Null => None,
-                Value::String(h) => Some(h.clone()),
-                _ => return Err(format!("diagnostic {i}: hint must be a string or null")),
+                Json::Null => None,
+                Json::Str(h) => Some(h.clone()),
+                _ => return Err(bad("hint must be a string or null")),
             };
             report.push(Diagnostic {
                 code,
@@ -154,252 +126,11 @@ impl Report {
     }
 }
 
-fn get<'a>(object: &'a [(String, Value)], key: &str) -> Result<&'a Value, String> {
+/// An object's field (an error names the key; a non-object has none).
+fn get<'a>(object: &'a Json, key: &str) -> Result<&'a Json, String> {
     object
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
+        .get(key)
         .ok_or_else(|| format!("missing key {key:?}"))
-}
-
-// ---------------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value (the subset the report shape needs: no floats).
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Number(u64),
-    String(String),
-    Array(Vec<Value>),
-    Object(Vec<(String, Value)>),
-}
-
-impl Value {
-    fn as_object(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Object(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn parse_document(mut self) -> Result<Value, String> {
-        let value = self.parse_value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(format!("trailing content at byte {}", self.pos));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_owned())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, String> {
-        match self.peek()? {
-            b'{' => self.parse_object(),
-            b'[' => self.parse_array(),
-            b'"' => Ok(Value::String(self.parse_string()?)),
-            b'0'..=b'9' => self.parse_number(),
-            b't' | b'f' | b'n' => self.parse_keyword(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                char::from(other),
-                self.pos
-            )),
-        }
-    }
-
-    fn parse_keyword(&mut self) -> Result<Value, String> {
-        for (word, value) in [
-            ("null", Value::Null),
-            ("true", Value::Bool(true)),
-            ("false", Value::Bool(false)),
-        ] {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                return Ok(value);
-            }
-        }
-        Err(format!("unknown keyword at byte {}", self.pos))
-    }
-
-    fn parse_number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        let digits = core::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("bad number at byte {start}: not ascii"))?;
-        digits
-            .parse()
-            .map(Value::Number)
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let rest = core::str::from_utf8(&self.bytes[self.pos..])
-                .map_err(|_| "invalid UTF-8".to_owned())?;
-            let mut chars = rest.chars();
-            let c = chars
-                .next()
-                .ok_or_else(|| "unterminated string".to_owned())?;
-            self.pos += c.len_utf8();
-            match c {
-                '"' => return Ok(out),
-                '\\' => {
-                    let esc = chars
-                        .next()
-                        .ok_or_else(|| "unterminated escape".to_owned())?;
-                    self.pos += esc.len_utf8();
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        '/' => out.push('/'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| core::str::from_utf8(h).ok())
-                                .ok_or_else(|| "truncated \\u escape".to_owned())?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(cp)
-                                    .ok_or_else(|| format!("bad code point {cp:#x}"))?,
-                            );
-                        }
-                        other => return Err(format!("unknown escape \\{other}")),
-                    }
-                }
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' but found {:?} at byte {}",
-                        char::from(other),
-                        self.pos
-                    ))
-                }
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' but found {:?} at byte {}",
-                        char::from(other),
-                        self.pos
-                    ))
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -27,9 +27,14 @@
 //!    schema-versioned `BENCH_<label>.json` the `spacetime bench`
 //!    harness writes, and [`compare`] gates regressions against a
 //!    committed baseline.
+//!
+//! Reports and ledger rows are read through the workspace's one JSON
+//! reader, [`st_core::json`]. Counts are held as exact integers, so a
+//! nanosecond total past 2^53 reads back as itself, and objects print
+//! their keys sorted, so a parsed report re-renders byte-identically.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod hist;
-pub mod json;
 pub mod prom;
 pub mod registry;
 pub mod report;

@@ -18,8 +18,9 @@
 
 use std::collections::BTreeMap;
 
+use st_core::json::Json;
+
 use crate::hist::nearest_rank;
-use crate::json::Json;
 
 /// Schema identifier written into (and required of) every bench report.
 pub const SCHEMA: &str = "spacetime-bench/1";
@@ -163,7 +164,7 @@ fn obj(fields: Vec<(&str, Json)>) -> Json {
 }
 
 fn num(n: u64) -> Json {
-    Json::Num(n as f64)
+    Json::Int(n.into())
 }
 
 impl BenchReport {
@@ -239,7 +240,7 @@ fn scenario_to_value(s: &Scenario) -> Json {
         ("p50", num(s.wall_nanos.p50)),
         ("p95", num(s.wall_nanos.p95)),
         ("max", num(s.wall_nanos.max)),
-        ("mean", Json::Num(s.wall_nanos.mean)),
+        ("mean", Json::Float(s.wall_nanos.mean)),
     ]);
     let counters = Json::Obj(
         s.counters
@@ -276,23 +277,23 @@ fn scenario_to_value(s: &Scenario) -> Json {
         ("wall_nanos", wall),
         (
             "throughput_volleys_per_sec",
-            Json::Num(s.throughput_volleys_per_sec),
+            Json::Float(s.throughput_volleys_per_sec),
         ),
         ("counters", counters),
         ("histograms", histograms),
     ])
 }
 
-fn str_field(v: &Json, key: &str) -> Result<String, String> {
+pub(crate) fn str_field(v: &Json, key: &str) -> Result<String, String> {
     v.get(key)
         .and_then(Json::as_str)
         .map(str::to_owned)
         .ok_or_else(|| format!("missing or non-string field {key:?}"))
 }
 
-fn u64_field(v: &Json, key: &str) -> Result<u64, String> {
+pub(crate) fn u64_field(v: &Json, key: &str) -> Result<u64, String> {
     v.get(key)
-        .and_then(Json::as_u64)
+        .and_then(Json::as_int)
         .ok_or_else(|| format!("missing or non-integer field {key:?}"))
 }
 
@@ -310,7 +311,7 @@ fn scenario_from_value(v: &Json) -> Result<Scenario, String> {
         .ok_or("missing or non-object field \"counters\"")?
         .iter()
         .map(|(k, n)| {
-            n.as_u64()
+            n.as_int()
                 .map(|n| (k.clone(), n))
                 .ok_or_else(|| format!("counter {k:?} is not an integer"))
         })

@@ -13,8 +13,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::Json;
-use crate::report::BenchReport;
+use st_core::json::Json;
+
+use crate::report::{str_field, u64_field, BenchReport};
 
 /// Schema identifier written into (and required of) every ledger row.
 pub const TREND_SCHEMA: &str = "spacetime-trend/1";
@@ -54,24 +55,22 @@ impl TrendRow {
     /// Renders the row as one compact JSON line (no trailing newline).
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        let mut fields = BTreeMap::new();
-        fields.insert("schema".to_owned(), Json::Str(self.schema.clone()));
-        fields.insert("label".to_owned(), Json::Str(self.label.clone()));
-        fields.insert(
-            "created_unix".to_owned(),
-            Json::Num(self.created_unix as f64),
-        );
-        fields.insert("git_rev".to_owned(), Json::Str(self.git_rev.clone()));
-        fields.insert(
-            "p50s".to_owned(),
-            Json::Obj(
-                self.p50s
-                    .iter()
-                    .map(|(k, &v)| (k.clone(), Json::Num(v as f64)))
-                    .collect(),
+        let p50s = self
+            .p50s
+            .iter()
+            .map(|(k, &v)| (k.clone(), Json::Int(v.into())))
+            .collect();
+        Json::Obj(BTreeMap::from([
+            ("schema".to_owned(), Json::Str(self.schema.clone())),
+            ("label".to_owned(), Json::Str(self.label.clone())),
+            (
+                "created_unix".to_owned(),
+                Json::Int(self.created_unix.into()),
             ),
-        );
-        Json::Obj(fields).to_string()
+            ("git_rev".to_owned(), Json::Str(self.git_rev.clone())),
+            ("p50s".to_owned(), Json::Obj(p50s)),
+        ]))
+        .to_string()
     }
 
     /// Parses one ledger line.
@@ -82,11 +81,7 @@ impl TrendRow {
     /// or missing schema id, or any missing/ill-typed required field.
     pub fn from_json_line(line: &str) -> Result<TrendRow, String> {
         let root = Json::parse(line)?;
-        let schema = root
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("missing or non-string field \"schema\"")?
-            .to_owned();
+        let schema = str_field(&root, "schema")?;
         if schema != TREND_SCHEMA {
             return Err(format!(
                 "unsupported schema {schema:?} (expected {TREND_SCHEMA:?})"
@@ -98,27 +93,16 @@ impl TrendRow {
             .ok_or("missing or non-object field \"p50s\"")?
             .iter()
             .map(|(k, n)| {
-                n.as_u64()
+                n.as_int()
                     .map(|n| (k.clone(), n))
                     .ok_or_else(|| format!("p50 {k:?} is not an integer"))
             })
             .collect::<Result<_, _>>()?;
         Ok(TrendRow {
             schema,
-            label: root
-                .get("label")
-                .and_then(Json::as_str)
-                .ok_or("missing or non-string field \"label\"")?
-                .to_owned(),
-            created_unix: root
-                .get("created_unix")
-                .and_then(Json::as_u64)
-                .ok_or("missing or non-integer field \"created_unix\"")?,
-            git_rev: root
-                .get("git_rev")
-                .and_then(Json::as_str)
-                .ok_or("missing or non-string field \"git_rev\"")?
-                .to_owned(),
+            label: str_field(&root, "label")?,
+            created_unix: u64_field(&root, "created_unix")?,
+            git_rev: str_field(&root, "git_rev")?,
             p50s,
         })
     }

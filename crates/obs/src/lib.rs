@@ -47,6 +47,7 @@
 //! let stats = RunStats::from_events(recorder.events());
 //! assert_eq!(stats.spikes, 1);
 //! ```
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod event;
 pub mod export;

@@ -1,45 +1,27 @@
 //! JSON rendering for certificates, counterexamples, and verify
 //! outcomes.
 //!
-//! Same constraints as `st_lint::json`: no serde in the build
-//! environment, so the emitters are hand-written for the one stable
-//! document shape each type needs. Spike times map `∞ → null` and
-//! finite ticks to plain numbers, so consumers never parse the `∞`
-//! glyph. The embedded diagnostics object is exactly
-//! [`st_lint::Report::to_json`]'s document, so one parser handles both
+//! No serde in the build environment, so the emitters are hand-written
+//! for the one stable document shape each type needs, with strings
+//! escaped by [`st_core::json::escape`]. Spike times go through the
+//! shared codec (`Json::from(time)`): `∞ → null` and finite ticks to
+//! plain numbers, so consumers never parse the `∞` glyph. The embedded
+//! diagnostics object is exactly [`st_lint::Report::to_json`]'s
+//! document, so one parser ([`st_lint::Report::from_json`]) handles both
 //! `spacetime lint --json` and `spacetime verify --json` findings.
 
+use std::fmt::Write as _;
+
+use st_core::json::{escape, Json};
 use st_core::Time;
 
 use crate::cert::Certificate;
 use crate::equiv::{Counterexample, EquivProof};
 use crate::VerifyOutcome;
 
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// One spike time as a JSON scalar: a number, or `null` for `∞`.
-fn time_json(t: Time) -> String {
-    t.value()
-        .map_or_else(|| "null".to_owned(), |v| v.to_string())
-}
-
 /// A volley as a JSON array of scalars.
 fn times_json(times: &[Time]) -> String {
-    let cells: Vec<String> = times.iter().map(|&t| time_json(t)).collect();
+    let cells: Vec<String> = times.iter().map(|&t| Json::from(t).to_string()).collect();
     format!("[{}]", cells.join(", "))
 }
 
@@ -61,11 +43,8 @@ impl Certificate {
     /// Renders the certificate as a JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::from("{\n");
-        let _ = write!(out, "  \"kind\": \"");
-        escape_into(&mut out, &self.kind);
-        let _ = writeln!(out, "\",");
+        let _ = writeln!(out, "  \"kind\": {},", escape(&self.kind));
         let _ = writeln!(out, "  \"window\": {},", self.window);
         let _ = writeln!(out, "  \"input_width\": {},", self.input_width);
         let _ = writeln!(out, "  \"output_width\": {},", self.output_width);
@@ -85,8 +64,8 @@ impl Certificate {
                 out,
                 "    {{ \"line\": {}, \"lo\": {}, \"hi\": {}, \"maybe_silent\": {} }}",
                 b.line,
-                time_json(b.lo),
-                time_json(b.hi),
+                Json::from(b.lo),
+                Json::from(b.hi),
                 b.maybe_silent
             );
         }
@@ -129,15 +108,13 @@ impl EquivProof {
     /// Renders the proof as a single-line JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{ \"left\": \"");
-        escape_into(&mut out, &self.left);
-        out.push_str("\", \"right\": \"");
-        escape_into(&mut out, &self.right);
-        out.push_str(&format!(
-            "\", \"window\": {}, \"volleys\": {} }}",
-            self.window, self.volleys
-        ));
-        out
+        format!(
+            "{{ \"left\": {}, \"right\": {}, \"window\": {}, \"volleys\": {} }}",
+            escape(&self.left),
+            escape(&self.right),
+            self.window,
+            self.volleys
+        )
     }
 }
 
@@ -146,13 +123,9 @@ impl Counterexample {
     /// replayable whitespace `volley` form.
     #[must_use]
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::from("{\n");
-        out.push_str("  \"left\": \"");
-        escape_into(&mut out, &self.left);
-        out.push_str("\",\n  \"right\": \"");
-        escape_into(&mut out, &self.right);
-        let _ = writeln!(out, "\",");
+        let _ = writeln!(out, "  \"left\": {},", escape(&self.left));
+        let _ = writeln!(out, "  \"right\": {},", escape(&self.right));
         let _ = writeln!(out, "  \"inputs\": {},", times_json(&self.inputs));
         let _ = writeln!(
             out,
@@ -165,9 +138,8 @@ impl Counterexample {
             times_json(&self.right_outputs)
         );
         let _ = writeln!(out, "  \"output\": {},", self.output);
-        out.push_str("  \"volley\": \"");
-        escape_into(&mut out, &self.volley_line());
-        out.push_str("\"\n}\n");
+        let _ = writeln!(out, "  \"volley\": {}", escape(&self.volley_line()));
+        out.push_str("}\n");
         out
     }
 }
@@ -177,11 +149,8 @@ impl VerifyOutcome {
     /// and the diagnostics report — as one JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::from("{\n  \"version\": 1,\n");
-        out.push_str("  \"kind\": \"");
-        escape_into(&mut out, &self.kind);
-        let _ = writeln!(out, "\",");
+        let _ = writeln!(out, "  \"kind\": {},", escape(&self.kind));
         let _ = writeln!(out, "  \"window\": {},", self.window);
         let _ = writeln!(
             out,

@@ -1180,6 +1180,68 @@ fn inspect_trace_mode_validates_the_export_schema() {
     );
 }
 
+#[test]
+fn bench_check_rejects_a_deeply_nested_report() {
+    let deep = TempFile::with_content("deep.json", &"[".repeat(50_000));
+    let out = bin()
+        .args(["bench", "--check", deep.to_str()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("nesting deeper than 128"),
+        "{out:?}"
+    );
+}
+
+#[test]
+fn inspect_trace_rejects_hostile_lines_with_a_line_numbered_error() {
+    let net = fig6_net_file();
+    let header = "{\"schema\":\"spacetime-obs/1\",\"events\":1,\"dropped\":0}\n";
+    let cases = [
+        (
+            "at",
+            "{\"kind\":\"gate_fired\",\"gate\":0,\"op\":\"input\",\"at\":18446744073709551615}"
+                .to_owned(),
+            "field \"at\" is neither ticks nor null",
+        ),
+        (
+            "deep",
+            format!("{{\"kind\":\"volley_start\",\"index\":{}", "[".repeat(50_000)),
+            "nesting deeper than 128",
+        ),
+        (
+            "garbage",
+            "garbage{\"kind\":\"volley_start\",\"index\":0}".to_owned(),
+            "unexpected character 'g'",
+        ),
+        (
+            "repeated",
+            "{\"kind\":\"volley_start\",\"index\":0,\"index\":1}".to_owned(),
+            "repeated key \"index\"",
+        ),
+        (
+            "before",
+            "{\"kind\":\"weight_delta\",\"neuron\":0,\"synapse\":0,\"before\":4294967297,\"after\":0}"
+                .to_owned(),
+            "out-of-range field \"before\"",
+        ),
+    ];
+    for (tag, line, expected) in cases {
+        let trace = TempFile::with_content(&format!("{tag}.jsonl"), &format!("{header}{line}\n"));
+        let out = bin()
+            .args(["inspect", net.to_str(), "--trace", trace.to_str()])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{tag}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("trace line 2: ") && stderr.contains(expected),
+            "{tag}: {stderr}"
+        );
+    }
+}
+
 /// Absolute path of a committed example artifact.
 fn example(name: &str) -> String {
     format!("{}/examples/data/{name}", env!("CARGO_MANIFEST_DIR"))
