@@ -8,11 +8,9 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use spacetime::batch::{BatchEvaluator, CompiledArtifact};
 use spacetime::kernel::Plan;
-use spacetime::trace::{NullTracer, SpanId};
 use st_bench::{banner, f3, print_table};
 use st_core::{FunctionTable, Time, Volley};
 use st_grl::{compile_network, GrlSim};
-use st_metrics::NullMetrics;
 use st_net::synth::{synthesize, SynthesisOptions};
 use st_net::EventSim;
 
@@ -293,19 +291,4 @@ fn software_throughput() {
          columns additionally pack 8 volleys per 64-bit word (SWAR), so \
          its speedup exceeds the worker count."
     );
-
-    if let Some(trace_path) = st_bench::trace_out_arg() {
-        let mut recorder = st_obs::Recorder::new();
-        BatchEvaluator::with_threads(4)
-            .eval_instrumented(
-                &CompiledArtifact::from_table(&table),
-                &volleys,
-                &mut recorder,
-                &mut NullMetrics,
-                &mut NullTracer,
-                SpanId::NONE,
-            )
-            .unwrap();
-        st_bench::write_trace(&trace_path, recorder.events());
-    }
 }

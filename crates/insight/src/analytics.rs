@@ -81,6 +81,9 @@ pub struct InsightStats {
     /// Per-decision inhibition margins: runner-up output spike minus the
     /// winner's, one entry per decided volley with ≥ 2 neuron spikes.
     pub margins: Vec<u64>,
+    /// STDP weight changes recorded over the run (training only; no
+    /// evaluation engine records any).
+    pub weight_deltas: usize,
 }
 
 impl InsightStats {
@@ -91,6 +94,7 @@ impl InsightStats {
             volleys: db.volleys().len(),
             events: db.event_count(),
             dropped: db.dropped(),
+            weight_deltas: db.weight_deltas(),
             ..InsightStats::default()
         };
         let mut per_unit: BTreeMap<Unit, UnitSummary> = BTreeMap::new();
@@ -208,10 +212,14 @@ impl InsightStats {
                 let _ = writeln!(out, "wta margin (ticks): min {min}  mean {mean}  max {max}");
             }
         }
+        if self.weight_deltas > 0 {
+            let _ = writeln!(out, "stdp: {} synapse weights changed", self.weight_deltas);
+        }
         out
     }
 
-    /// A single-object JSON rendering.
+    /// A single-object JSON rendering. `"weight_deltas"` is present only
+    /// when the run recorded STDP updates, like the text line.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
@@ -266,7 +274,11 @@ impl InsightStats {
             }
             let _ = write!(out, "{m}");
         }
-        out.push_str("]}}");
+        out.push_str("]}");
+        if self.weight_deltas > 0 {
+            let _ = write!(out, ",\"weight_deltas\":{}", self.weight_deltas);
+        }
+        out.push('}');
         out
     }
 }
@@ -351,6 +363,38 @@ mod tests {
         assert!(json.contains("\"extents\":[3,0]"), "{json}");
         assert!(json.contains("\"winners\":{\"0\":2}"), "{json}");
         assert!(st_core::json::Json::parse(&json).is_ok(), "{json}");
+    }
+
+    #[test]
+    fn weight_deltas_render_only_when_recorded() {
+        let quiet = InsightStats::from_db(&sample_db());
+        assert!(!quiet.render().contains("stdp"));
+        assert!(!quiet.to_json().contains("weight_deltas"));
+
+        let db = SpikeDb::from_events(&[
+            ObsEvent::VolleyStart { index: 0 },
+            ObsEvent::WeightDelta {
+                neuron: 0,
+                synapse: 1,
+                before: 3,
+                after: 4,
+            },
+        ]);
+        let stats = InsightStats::from_db(&db);
+        assert_eq!(stats.weight_deltas, 1);
+        assert!(
+            stats
+                .render()
+                .ends_with("stdp: 1 synapse weights changed\n"),
+            "{}",
+            stats.render()
+        );
+        let json = st_core::json::Json::parse(&stats.to_json()).unwrap();
+        assert_eq!(
+            json.get("weight_deltas")
+                .and_then(st_core::json::Json::as_int::<u64>),
+            Some(1)
+        );
     }
 
     #[test]

@@ -112,8 +112,8 @@ pub struct SpikeDb {
     /// Per-unit global index: every `(volley position, time)` the unit
     /// fired at, in run order.
     by_unit: HashMap<Unit, Vec<(usize, Time)>>,
-    /// Non-spike events kept for analytics (timings, weight deltas).
-    timings: Vec<ObsEvent>,
+    /// STDP weight changes recorded over the run.
+    weight_deltas: usize,
     dropped: u64,
     events: usize,
 }
@@ -133,7 +133,7 @@ impl SpikeDb {
         let mut db = SpikeDb {
             volleys: Vec::new(),
             by_unit: HashMap::new(),
-            timings: Vec::new(),
+            weight_deltas: 0,
             dropped,
             events: events.len(),
         };
@@ -149,8 +149,8 @@ impl SpikeDb {
                 ObsEvent::WtaDecision { winner, tied } => {
                     db.current().wta = Some((winner, tied));
                 }
+                ObsEvent::WeightDelta { .. } => db.weight_deltas += 1,
                 ObsEvent::LatchBlocked { .. } | ObsEvent::Potential { .. } => {}
-                _ => db.timings.push(event.clone()),
             }
         }
         db
@@ -205,11 +205,10 @@ impl SpikeDb {
         units
     }
 
-    /// The non-spike events kept for analytics (stage/chunk/volley
-    /// timings, STDP weight deltas).
+    /// How many STDP weight changes the run recorded.
     #[must_use]
-    pub fn timings(&self) -> &[ObsEvent] {
-        &self.timings
+    pub fn weight_deltas(&self) -> usize {
+        self.weight_deltas
     }
 
     /// How many events the producing recorder dropped (0 = complete).
@@ -261,10 +260,11 @@ mod tests {
                 winner: Some(1),
                 tied: 1,
             },
-            ObsEvent::VolleyTimed {
-                index: 1,
-                nanos: 10,
-                spikes: 1,
+            ObsEvent::WeightDelta {
+                neuron: 1,
+                synapse: 0,
+                before: 3,
+                after: 4,
             },
         ]
     }
@@ -278,7 +278,7 @@ mod tests {
         assert_eq!(db.volley(1).unwrap().wta, Some((Some(1), 1)));
         assert_eq!(db.firings(Unit::Neuron(1)), &[(1, t(2))]);
         assert_eq!(db.units().len(), 3);
-        assert_eq!(db.timings().len(), 1);
+        assert_eq!(db.weight_deltas(), 1);
         assert!(!db.is_truncated());
     }
 

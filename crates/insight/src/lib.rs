@@ -11,7 +11,7 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`db`] | [`SpikeDb`]: per-volley, per-unit index over recorded [`st_obs::ObsEvent`] streams |
-//! | [`trace_io`] | reading `spacetime-obs/1` JSONL traces back with schema validation |
+//! | [`trace_io`] | reading `spacetime-obs/2` (and `/1`) JSONL traces back with schema validation |
 //! | [`cone`] | [`cone::why`]: causal provenance — the backward cone of influence of one `(gate, time)` event, with a verified, batch-replayable witness volley |
 //! | [`diff`] | cross-run divergence diffing: the *first* divergent event in topological+time order, gate-level or output-level |
 //! | [`analytics`] | § III.A volley-coding statistics: firing rates, spike-time histograms, temporal extent, WTA margins |
@@ -86,7 +86,7 @@ use core::fmt;
 /// Everything that can go wrong answering an insight query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InsightError {
-    /// The trace (or its header) is not a valid `spacetime-obs/1` JSONL
+    /// The trace (or its header) is not a valid `spacetime-obs` JSONL
     /// document.
     BadTrace {
         /// 1-based line of the problem (0 for whole-file problems).
@@ -134,7 +134,7 @@ impl fmt::Display for InsightError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             InsightError::BadTrace { line: 0, message } => {
-                write!(f, "not a spacetime-obs/1 trace: {message}")
+                write!(f, "not a spacetime-obs trace: {message}")
             }
             InsightError::BadTrace { line, message } => {
                 write!(f, "trace line {line}: {message}")

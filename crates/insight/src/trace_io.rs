@@ -1,4 +1,5 @@
-//! Reading `spacetime-obs/1` JSONL traces back into typed events.
+//! Reading `spacetime-obs/2` (and `/1`) JSONL traces back into typed
+//! events.
 //!
 //! `st-obs` exports every event as one flat JSON object per line, behind
 //! a schema header. Each line is parsed as one document by the
@@ -12,14 +13,27 @@
 //! weight outside `i32`), or an event count that disagrees with the
 //! header all fail with a line-numbered [`InsightError::BadTrace`] — a
 //! truncated or hand-edited trace is rejected, never half-loaded.
+//!
+//! A `spacetime-obs/1` document reads too. Its three wall-clock kinds
+//! (`volley_timed`, `chunk_timing`, `stage_timing`), which `/2` dropped
+//! for `st-trace` spans, count against the header's declared total and
+//! are then skipped, so a `/1` log reads into the events of its `/2`
+//! rewrite.
 
 use st_core::json::Json;
 use st_core::Time;
 use st_obs::{ObsEvent, JSONL_SCHEMA};
 
+/// The first schema version, still read: [`JSONL_SCHEMA`] plus three
+/// wall-clock event kinds.
+const JSONL_SCHEMA_V1: &str = "spacetime-obs/1";
+
+/// The `/1` event kinds that carried wall-clock time.
+const V1_TIMING_KINDS: [&str; 3] = ["volley_timed", "chunk_timing", "stage_timing"];
+
 use crate::InsightError;
 
-/// A fully validated `spacetime-obs/1` trace.
+/// A fully validated `spacetime-obs` trace.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ParsedTrace {
     /// The recorded events, in original order.
@@ -106,15 +120,6 @@ fn intern_op(line: &Line) -> Result<&'static str, InsightError> {
         .ok_or_else(|| line.bad(format!("unknown gate op {op:?}")))
 }
 
-/// Interns a recorded stage name; `"eval"` is the only stage the batch
-/// engine currently emits.
-fn intern_stage(line: &Line) -> Result<&'static str, InsightError> {
-    match line.string("stage")? {
-        "eval" => Ok("eval"),
-        other => Err(line.bad(format!("unknown stage {other:?}"))),
-    }
-}
-
 fn parse_event(line: &Line) -> Result<ObsEvent, InsightError> {
     Ok(match line.string("kind")? {
         "volley_start" => ObsEvent::VolleyStart {
@@ -157,37 +162,21 @@ fn parse_event(line: &Line) -> Result<ObsEvent, InsightError> {
             before: line.int("before")?,
             after: line.int("after")?,
         },
-        "stage_timing" => ObsEvent::StageTiming {
-            stage: intern_stage(line)?,
-            start_nanos: line.int("start_nanos")?,
-            nanos: line.int("nanos")?,
-        },
-        "chunk_timing" => ObsEvent::ChunkTiming {
-            worker: line.int("worker")?,
-            start: line.int("start")?,
-            len: line.int("len")?,
-            start_nanos: line.int("start_nanos")?,
-            nanos: line.int("nanos")?,
-        },
-        "volley_timed" => ObsEvent::VolleyTimed {
-            index: line.int("index")?,
-            nanos: line.int("nanos")?,
-            spikes: line.int("spikes")?,
-        },
         other => return Err(line.bad(format!("unknown event kind {other:?}"))),
     })
 }
 
-/// Parses a `spacetime-obs/1` JSONL document (as written by
+/// Parses a `spacetime-obs/2` JSONL document (as written by
 /// `st_obs::events_jsonl` / `Recorder::to_jsonl` / `spacetime trace
-/// --format jsonl`) back into typed events.
+/// --format jsonl`) back into typed events. A `spacetime-obs/1` document
+/// reads the same way, less its wall-clock lines.
 ///
 /// # Errors
 ///
 /// [`InsightError::BadTrace`] when the header is missing or declares a
 /// foreign schema, when any line is not one JSON object or holds a
-/// malformed event, or when the event count disagrees with the header
-/// (a truncated file).
+/// malformed event, or when the line count disagrees with the header's
+/// event count (a truncated file).
 pub fn parse_trace(text: &str) -> Result<ParsedTrace, InsightError> {
     let mut lines = text.lines();
     let header = lines
@@ -205,30 +194,39 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, InsightError> {
                 ),
             )
         })?;
-    let schema = header.string("schema")?;
-    if schema != JSONL_SCHEMA {
-        return Err(bad(
-            0,
-            format!("schema is {schema:?}, this reader understands {JSONL_SCHEMA:?}"),
-        ));
-    }
+    let v1 = match header.string("schema")? {
+        JSONL_SCHEMA => false,
+        JSONL_SCHEMA_V1 => true,
+        schema => {
+            return Err(bad(
+                0,
+                format!(
+                    "schema is {schema:?}, this reader understands {JSONL_SCHEMA:?} and \
+                     {JSONL_SCHEMA_V1:?}"
+                ),
+            ))
+        }
+    };
     let declared: u64 = header.int("events")?;
     let dropped = header.int("dropped")?;
 
     let mut events = Vec::new();
+    let mut read = 0u64;
     for (i, line) in lines.enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        events.push(parse_event(&Line::parse(line, i + 2)?)?);
+        read += 1;
+        let line = Line::parse(line, i + 2)?;
+        if v1 && V1_TIMING_KINDS.contains(&line.string("kind")?) {
+            continue;
+        }
+        events.push(parse_event(&line)?);
     }
-    if events.len() as u64 != declared {
+    if read != declared {
         return Err(bad(
             0,
-            format!(
-                "header declares {declared} event(s) but the file holds {} — truncated?",
-                events.len()
-            ),
+            format!("header declares {declared} event(s) but the file holds {read} — truncated?"),
         ));
     }
     Ok(ParsedTrace { events, dropped })
@@ -279,23 +277,6 @@ mod tests {
                 before: -2,
                 after: 5,
             },
-            ObsEvent::StageTiming {
-                stage: "eval",
-                start_nanos: 10,
-                nanos: 12_500,
-            },
-            ObsEvent::ChunkTiming {
-                worker: 1,
-                start: 0,
-                len: 2,
-                start_nanos: 1_000,
-                nanos: 11_000,
-            },
-            ObsEvent::VolleyTimed {
-                index: 0,
-                nanos: 5_000,
-                spikes: 2,
-            },
         ]
     }
 
@@ -316,7 +297,7 @@ mod tests {
             matches!(err, InsightError::BadTrace { line: 0, .. }),
             "{err}"
         );
-        assert!(err.to_string().contains("spacetime-obs/1"), "{err}");
+        assert!(err.to_string().contains("spacetime-obs/2"), "{err}");
     }
 
     #[test]
@@ -324,6 +305,35 @@ mod tests {
         let err = parse_trace("{\"schema\":\"spacetime-bench/1\",\"events\":0,\"dropped\":0}\n")
             .unwrap_err();
         assert!(err.to_string().contains("spacetime-bench/1"), "{err}");
+    }
+
+    #[test]
+    fn a_v1_log_drops_its_timing_lines_and_counts_them() {
+        let timing = [
+            "{\"kind\":\"volley_timed\",\"index\":0,\"nanos\":1500,\"spikes\":1}",
+            "{\"kind\":\"chunk_timing\",\"worker\":0,\"start\":0,\"len\":1,\
+             \"start_nanos\":100,\"nanos\":4000}",
+            "{\"kind\":\"stage_timing\",\"stage\":\"eval\",\"start_nanos\":0,\"nanos\":5000}",
+        ];
+        let v2 = events_jsonl_with_dropped(&sample(), 0);
+        let body: Vec<&str> = v2.lines().skip(1).chain(timing).collect();
+        let v1 = |declared: usize| {
+            let header =
+                format!("{{\"schema\":\"spacetime-obs/1\",\"events\":{declared},\"dropped\":0}}\n");
+            header + &body.join("\n") + "\n"
+        };
+        let parsed = parse_trace(&v1(body.len())).unwrap();
+        assert_eq!(parsed.events, sample());
+        // The declared count covers the dropped lines too.
+        let err = parse_trace(&v1(sample().len())).unwrap_err();
+        assert!(err.to_string().contains("truncated"), "{err}");
+        // `/2` has no wall-clock kinds.
+        for line in timing {
+            assert!(
+                line_two_error(line).contains("unknown event kind"),
+                "{line}"
+            );
+        }
     }
 
     #[test]
@@ -336,7 +346,7 @@ mod tests {
 
     #[test]
     fn rejects_unknown_ops_and_kinds_with_line_numbers() {
-        let text = "{\"schema\":\"spacetime-obs/1\",\"events\":1,\"dropped\":0}\n\
+        let text = "{\"schema\":\"spacetime-obs/2\",\"events\":1,\"dropped\":0}\n\
                     {\"kind\":\"gate_fired\",\"gate\":0,\"op\":\"xor\",\"at\":1}\n";
         let err = parse_trace(text).unwrap_err();
         assert_eq!(
@@ -347,12 +357,12 @@ mod tests {
             }
         );
 
-        let text = "{\"schema\":\"spacetime-obs/1\",\"events\":1,\"dropped\":0}\n\
+        let text = "{\"schema\":\"spacetime-obs/2\",\"events\":1,\"dropped\":0}\n\
                     {\"kind\":\"gate_melted\"}\n";
         assert!(parse_trace(text).is_err());
     }
 
-    const HEADER: &str = "{\"schema\":\"spacetime-obs/1\",\"events\":1,\"dropped\":0}\n";
+    const HEADER: &str = "{\"schema\":\"spacetime-obs/2\",\"events\":1,\"dropped\":0}\n";
 
     fn line_two_error(line: &str) -> String {
         match parse_trace(&format!("{HEADER}{line}\n")) {

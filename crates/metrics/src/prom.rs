@@ -56,8 +56,6 @@ pub fn prom_help(name: &str) -> Option<&'static str> {
         "stdp.rescues" => "rescue updates that changed at least one weight",
         "batch.volleys" => "volleys evaluated (successful batches only)",
         "batch.chunks" => "worker chunks processed (varies with thread count)",
-        "batch.volley_nanos" => "wall-clock nanos per volley",
-        "batch.chunk_nanos" => "wall-clock nanos per worker chunk",
         "kernel.packets" => "SWAR packets evaluated by the kernel engine",
         "kernel.gates_swar" => "gate evaluations taken on the SWAR path",
         "kernel.gates_skipped" => "gate evaluations skipped as all-silent",
@@ -162,21 +160,22 @@ mod tests {
     fn renders_counters_and_histograms() {
         let mut r = MetricsRegistry::new();
         r.incr("net.gate_evals", 12);
-        r.observe("batch.volley_nanos", 3);
-        r.observe("batch.volley_nanos", 5);
+        r.observe("net.queue_peak_depth", 3);
+        r.observe("net.queue_peak_depth", 5);
         let text = MetricsSnapshot::from_registry(&r).to_prom_text();
         assert!(
             text.contains("# HELP spacetime_net_gate_evals gate evaluations popped and processed")
         );
         assert!(text.contains("# TYPE spacetime_net_gate_evals counter"));
-        assert!(text.contains("# HELP spacetime_batch_volley_nanos wall-clock nanos per volley"));
+        assert!(text
+            .contains("# HELP spacetime_net_queue_peak_depth peak priority-queue depth per run"));
         assert!(text.contains("spacetime_net_gate_evals 12"));
-        assert!(text.contains("# TYPE spacetime_batch_volley_nanos histogram"));
+        assert!(text.contains("# TYPE spacetime_net_queue_peak_depth histogram"));
         // 3 and 5 both have bit length 3 → bucket le="7" is cumulative 2.
-        assert!(text.contains("spacetime_batch_volley_nanos_bucket{le=\"7\"} 2"));
-        assert!(text.contains("spacetime_batch_volley_nanos_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("spacetime_batch_volley_nanos_sum 8"));
-        assert!(text.contains("spacetime_batch_volley_nanos_count 2"));
+        assert!(text.contains("spacetime_net_queue_peak_depth_bucket{le=\"7\"} 2"));
+        assert!(text.contains("spacetime_net_queue_peak_depth_bucket{le=\"+Inf\"} 2"));
+        assert!(text.contains("spacetime_net_queue_peak_depth_sum 8"));
+        assert!(text.contains("spacetime_net_queue_peak_depth_count 2"));
     }
 
     #[test]

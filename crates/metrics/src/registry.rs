@@ -153,11 +153,11 @@ mod tests {
         assert!(r.is_empty());
         r.incr("net.gate_evals", 3);
         r.incr("net.gate_evals", 2);
-        r.observe("batch.volley_nanos", 100);
-        r.observe("batch.volley_nanos", 200);
+        r.observe("net.queue_peak_depth", 100);
+        r.observe("net.queue_peak_depth", 200);
         assert_eq!(r.counter("net.gate_evals"), 5);
         assert_eq!(r.counter("missing"), 0);
-        assert_eq!(r.histogram("batch.volley_nanos").unwrap().count(), 2);
+        assert_eq!(r.histogram("net.queue_peak_depth").unwrap().count(), 2);
         assert!(r.histogram("missing").is_none());
     }
 

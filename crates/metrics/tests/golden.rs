@@ -8,17 +8,17 @@
 use st_metrics::{MetricSink, MetricsRegistry, MetricsSnapshot};
 
 /// A deterministic miniature registry touching every rendering path:
-/// plain counters, a dotted name needing sanitization, a histogram with
-/// several used buckets, and a single-sample histogram.
+/// plain counters, a dotted name needing sanitization, and a histogram
+/// with several used buckets.
 fn fixture() -> MetricsRegistry {
     let mut registry = MetricsRegistry::new();
     registry.incr("net.gate_evals", 42);
     registry.incr("net.runs", 3);
     registry.incr("grl.wire_transitions", 17);
-    registry.observe("batch.volley_nanos", 0);
-    registry.observe("batch.volley_nanos", 5);
-    registry.observe("batch.volley_nanos", 5);
-    registry.observe("batch.volley_nanos", 200);
+    registry.observe("net.queue_peak_depth", 0);
+    registry.observe("net.queue_peak_depth", 5);
+    registry.observe("net.queue_peak_depth", 5);
+    registry.observe("net.queue_peak_depth", 200);
     registry.observe("net.queue_peak_depth", 7);
     registry
 }

@@ -3,10 +3,11 @@
 //! Each engine emits the events that are native to its semantics — gate
 //! firings for the discrete-event network evaluator, wire falls for the
 //! CMOS race-logic simulator, membrane-potential samples and spikes for
-//! SRM0 neurons, WTA/STDP decisions for the training loop, and wall-clock
-//! timings for the batch engine. A [`crate::Probe`] receives them all
-//! through one funnel, so exporters and statistics never need to know
-//! which engine produced a trace.
+//! SRM0 neurons, and WTA/STDP decisions for the training loop. Every
+//! time an event carries is a model time, in ticks; host wall-clock time
+//! is recorded as `st-trace` spans, never here. A [`crate::Probe`]
+//! receives them all through one funnel, so exporters and statistics
+//! never need to know which engine produced a trace.
 
 use st_core::Time;
 
@@ -90,40 +91,6 @@ pub enum ObsEvent {
         /// Weight after the training call.
         after: i32,
     },
-
-    /// Batch engine: one pipeline stage's wall-clock span.
-    StageTiming {
-        /// Stage name (`"eval"`, …).
-        stage: &'static str,
-        /// Start offset from the run's origin, in nanoseconds.
-        start_nanos: u64,
-        /// Duration in nanoseconds.
-        nanos: u64,
-    },
-
-    /// Batch engine: one worker's contiguous chunk of the volley batch.
-    ChunkTiming {
-        /// Worker index.
-        worker: usize,
-        /// Index of the chunk's first volley.
-        start: usize,
-        /// Number of volleys in the chunk.
-        len: usize,
-        /// Start offset from the run's origin, in nanoseconds.
-        start_nanos: u64,
-        /// Duration in nanoseconds.
-        nanos: u64,
-    },
-
-    /// Batch engine: one volley's evaluation, timed.
-    VolleyTimed {
-        /// Index of the volley within the input batch.
-        index: usize,
-        /// Wall-clock nanoseconds spent evaluating it.
-        nanos: u64,
-        /// Output spikes (finite output lines) it produced.
-        spikes: usize,
-    },
 }
 
 impl ObsEvent {
@@ -140,9 +107,6 @@ impl ObsEvent {
             ObsEvent::NeuronSpike { .. } => "neuron_spike",
             ObsEvent::WtaDecision { .. } => "wta_decision",
             ObsEvent::WeightDelta { .. } => "weight_delta",
-            ObsEvent::StageTiming { .. } => "stage_timing",
-            ObsEvent::ChunkTiming { .. } => "chunk_timing",
-            ObsEvent::VolleyTimed { .. } => "volley_timed",
         }
     }
 
@@ -211,23 +175,6 @@ mod tests {
                 synapse: 1,
                 before: 3,
                 after: 4,
-            },
-            ObsEvent::StageTiming {
-                stage: "eval",
-                start_nanos: 0,
-                nanos: 10,
-            },
-            ObsEvent::ChunkTiming {
-                worker: 0,
-                start: 0,
-                len: 8,
-                start_nanos: 0,
-                nanos: 5,
-            },
-            ObsEvent::VolleyTimed {
-                index: 0,
-                nanos: 7,
-                spikes: 1,
             },
         ];
         let kinds: std::collections::HashSet<&str> = events.iter().map(ObsEvent::kind).collect();

@@ -11,8 +11,9 @@
 //! * [`events_jsonl`] — every event as one JSON object per line; the
 //!   lossless interchange format (`spacetime trace --format jsonl`).
 //! * [`chrome_trace`] — Chrome `trace_event` JSON (load in
-//!   `chrome://tracing` or Perfetto): wall-clock stage/chunk spans on
-//!   process 0, model-time spikes and potential counters on process 1.
+//!   `chrome://tracing` or Perfetto): model-time spikes and potential
+//!   counters. Wall-clock timelines come from `st-trace` spans
+//!   (`spacetime profile --format chrome`).
 
 use std::fmt::Write as _;
 
@@ -109,41 +110,18 @@ fn event_json(event: &ObsEvent) -> String {
             "{{\"kind\":\"{kind}\",\"neuron\":{neuron},\"synapse\":{synapse},\
              \"before\":{before},\"after\":{after}}}"
         ),
-        ObsEvent::StageTiming {
-            stage,
-            start_nanos,
-            nanos,
-        } => format!(
-            "{{\"kind\":\"{kind}\",\"stage\":\"{stage}\",\"start_nanos\":{start_nanos},\
-             \"nanos\":{nanos}}}"
-        ),
-        ObsEvent::ChunkTiming {
-            worker,
-            start,
-            len,
-            start_nanos,
-            nanos,
-        } => format!(
-            "{{\"kind\":\"{kind}\",\"worker\":{worker},\"start\":{start},\"len\":{len},\
-             \"start_nanos\":{start_nanos},\"nanos\":{nanos}}}"
-        ),
-        ObsEvent::VolleyTimed {
-            index,
-            nanos,
-            spikes,
-        } => format!(
-            "{{\"kind\":\"{kind}\",\"index\":{index},\"nanos\":{nanos},\"spikes\":{spikes}}}"
-        ),
     }
 }
 
 /// The schema identifier the JSONL exporter stamps on its first line,
 /// following the `spacetime-bench/1` / `spacetime-trend/1` convention.
 /// Readers (`st-insight`, external tooling) validate it before trusting
-/// the event lines.
-pub const JSONL_SCHEMA: &str = "spacetime-obs/1";
+/// the event lines. Version 2 dropped `/1`'s three wall-clock kinds
+/// (`volley_timed`, `chunk_timing`, `stage_timing`); every other line
+/// reads the same in both.
+pub const JSONL_SCHEMA: &str = "spacetime-obs/2";
 
-/// The `spacetime-obs/1` header line: schema id, event count, and the
+/// The schema header line: schema id, event count, and the
 /// number of events the producing [`crate::Recorder`] dropped at its
 /// capacity cap (0 for a complete trace).
 fn jsonl_header(events: usize, dropped: u64) -> String {
@@ -151,8 +129,8 @@ fn jsonl_header(events: usize, dropped: u64) -> String {
 }
 
 /// Renders every event as one JSON object per line (JSONL) — the
-/// lossless interchange format. The first line is a `spacetime-obs/1`
-/// schema header declaring the event count; the trace it describes is
+/// lossless interchange format. The first line is a [`JSONL_SCHEMA`]
+/// header declaring the event count; the trace it describes is
 /// complete (`"dropped":0`). For a capacity-truncated recording use
 /// [`events_jsonl_with_dropped`] (or [`crate::Recorder::to_jsonl`]).
 #[must_use]
@@ -173,62 +151,26 @@ pub fn events_jsonl_with_dropped(events: &[ObsEvent], dropped: u64) -> String {
     out
 }
 
-/// Microseconds with fixed 3-decimal formatting, from nanoseconds.
-fn micros(nanos: u64) -> String {
-    format!("{}.{:03}", nanos / 1_000, nanos % 1_000)
-}
-
 /// Renders a run as Chrome `trace_event` JSON for flame-style viewing.
 ///
-/// Two processes are emitted:
-///
-/// * **pid 0 ("wall clock")** — [`ObsEvent::StageTiming`] and
-///   [`ObsEvent::ChunkTiming`] become complete (`"ph":"X"`) spans, one
-///   track per worker, timestamps in microseconds of wall-clock.
-/// * **pid 1 ("model time")** — spike-like events become instant
-///   (`"ph":"i"`) marks and [`ObsEvent::Potential`] samples become
-///   counter (`"ph":"C"`) tracks, with one model tick rendered as one
-///   microsecond.
+/// One process, pid 1 ("model time"), is emitted: spike-like events
+/// become instant (`"ph":"i"`) marks and [`ObsEvent::Potential`] samples
+/// become counter (`"ph":"C"`) tracks, with one model tick rendered as
+/// one microsecond.
 ///
 /// Markers and decisions without a timestamp ([`ObsEvent::VolleyStart`],
-/// [`ObsEvent::WtaDecision`], [`ObsEvent::WeightDelta`],
-/// [`ObsEvent::VolleyTimed`]) are not representable on a timeline and are
-/// omitted here — use [`events_jsonl`] for the complete record.
+/// [`ObsEvent::WtaDecision`], [`ObsEvent::WeightDelta`]) are not
+/// representable on a timeline and are omitted here — use
+/// [`events_jsonl`] for the complete record.
 #[must_use]
 pub fn chrome_trace(events: &[ObsEvent]) -> String {
     let mut entries: Vec<String> = vec![
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-         \"args\":{\"name\":\"wall clock\"}}"
-            .to_owned(),
         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
          \"args\":{\"name\":\"model time\"}}"
             .to_owned(),
     ];
     for event in events {
         match *event {
-            ObsEvent::StageTiming {
-                stage,
-                start_nanos,
-                nanos,
-            } => entries.push(format!(
-                "{{\"name\":\"{stage}\",\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":{},\"dur\":{}}}",
-                micros(start_nanos),
-                micros(nanos)
-            )),
-            ObsEvent::ChunkTiming {
-                worker,
-                start,
-                len,
-                start_nanos,
-                nanos,
-            } => entries.push(format!(
-                "{{\"name\":\"chunk[{start}..{}]\",\"ph\":\"X\",\"pid\":0,\"tid\":{},\
-                 \"ts\":{},\"dur\":{}}}",
-                start + len,
-                worker + 1,
-                micros(start_nanos),
-                micros(nanos)
-            )),
             ObsEvent::Potential {
                 neuron,
                 at,
@@ -297,23 +239,6 @@ mod tests {
                 winner: None,
                 tied: 0,
             },
-            ObsEvent::StageTiming {
-                stage: "eval",
-                start_nanos: 0,
-                nanos: 12_500,
-            },
-            ObsEvent::ChunkTiming {
-                worker: 0,
-                start: 0,
-                len: 2,
-                start_nanos: 1_000,
-                nanos: 11_000,
-            },
-            ObsEvent::VolleyTimed {
-                index: 0,
-                nanos: 5_000,
-                spikes: 2,
-            },
         ]
     }
 
@@ -338,7 +263,7 @@ mod tests {
         assert_eq!(
             header,
             format!(
-                "{{\"schema\":\"spacetime-obs/1\",\"events\":{},\"dropped\":0}}",
+                "{{\"schema\":\"spacetime-obs/2\",\"events\":{},\"dropped\":0}}",
                 sample_events().len()
             )
         );
@@ -347,7 +272,6 @@ mod tests {
             assert!(event.get("kind").and_then(Json::as_str).is_some(), "{line}");
         }
         assert!(jsonl.contains("\"winner\":null"));
-        assert!(jsonl.contains("\"nanos\":12500"));
     }
 
     #[test]
@@ -355,23 +279,12 @@ mod tests {
         let json = chrome_trace(&sample_events());
         assert!(json.starts_with("{\"traceEvents\":[\n"));
         assert!(json.ends_with("\n]}\n"));
-        // Stage span in microseconds.
-        assert!(json.contains("\"name\":\"eval\",\"ph\":\"X\""), "{json}");
-        assert!(json.contains("\"dur\":12.500"));
-        // Chunk on its worker track.
-        assert!(json.contains("\"name\":\"chunk[0..2]\""));
-        assert!(json.contains("\"tid\":1"));
+        // Model time is the only process: no wall-clock spans.
+        assert!(!json.contains("\"pid\":0"), "{json}");
+        assert!(!json.contains("\"ph\":\"X\""), "{json}");
         // Model-time instants and the potential counter.
         assert!(json.contains("\"name\":\"gate4:min\",\"ph\":\"i\""));
         assert!(json.contains("\"name\":\"potential n1\",\"ph\":\"C\""));
         assert!(json.contains("\"args\":{\"v\":-1}"));
-    }
-
-    #[test]
-    fn micros_formatting() {
-        assert_eq!(micros(0), "0.000");
-        assert_eq!(micros(999), "0.999");
-        assert_eq!(micros(12_500), "12.500");
-        assert_eq!(micros(1_000_001), "1000.001");
     }
 }

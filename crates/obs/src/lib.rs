@@ -11,13 +11,14 @@
 //! | [`probe`] | the [`Probe`] trait, the zero-overhead [`NullProbe`], the collecting [`Recorder`] |
 //! | [`event`] | the typed [`ObsEvent`] vocabulary every engine shares |
 //! | [`export`] | spike-raster CSV, JSONL, Chrome `trace_event` exporters |
-//! | [`stats`] | [`RunStats`] run summaries (spikes/volley, winner histograms, latency percentiles) |
 //!
-//! Two sibling crates apply the same zero-overhead pattern to the other
-//! observability axes: `st-metrics` (counters and histograms behind
-//! `MetricSink`) and `st-trace` (hierarchical wall-clock spans behind
-//! `Tracer`, rendered as flamegraphs and Chrome timelines by
-//! `spacetime profile`).
+//! Every time an event carries is a model time. Two sibling crates apply
+//! the same zero-overhead pattern to the other observability axes:
+//! `st-metrics` (counters and histograms behind `MetricSink`) and
+//! `st-trace` (hierarchical wall-clock spans behind `Tracer`, rendered as
+//! flamegraphs and Chrome timelines by `spacetime profile`) — the one
+//! place a duration is recorded. Run summaries over an event stream live
+//! in `st-insight` (`InsightStats`).
 //!
 //! ## The zero-overhead contract
 //!
@@ -34,7 +35,7 @@
 //! ## Example
 //!
 //! ```
-//! use st_obs::{spike_raster_csv, ObsEvent, Probe, Recorder, RunStats};
+//! use st_obs::{events_jsonl, spike_raster_csv, ObsEvent, Probe, Recorder};
 //! use st_core::Time;
 //!
 //! // An engine records what happened…
@@ -42,21 +43,18 @@
 //! recorder.begin_volley(0);
 //! recorder.record(ObsEvent::GateFired { gate: 2, op: "min", at: Time::finite(3) });
 //!
-//! // …and the same trace renders as a raster or aggregates into stats.
+//! // …and the same trace renders as a raster or as a JSONL log.
 //! assert!(spike_raster_csv(recorder.events()).contains("0,3,net,gate2:min"));
-//! let stats = RunStats::from_events(recorder.events());
-//! assert_eq!(stats.spikes, 1);
+//! assert_eq!(events_jsonl(recorder.events()).lines().count(), 3);
 //! ```
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod event;
 pub mod export;
 pub mod probe;
-pub mod stats;
 
 pub use event::ObsEvent;
 pub use export::{
     chrome_trace, events_jsonl, events_jsonl_with_dropped, spike_raster_csv, JSONL_SCHEMA,
 };
 pub use probe::{NullProbe, Probe, Recorder};
-pub use stats::RunStats;

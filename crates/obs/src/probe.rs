@@ -1,7 +1,8 @@
 //! The [`Probe`] trait and its two canonical implementations.
 //!
-//! Engines take a `&mut P where P: Probe` parameter on their `*_probed`
-//! entry points. The default implementation, [`NullProbe`], reports
+//! Engines take a `&mut P where P: Probe` parameter on their
+//! `*_instrumented` entry points, beside a metric sink (and, for the
+//! batch engine, a span tracer). The default implementation, [`NullProbe`], reports
 //! itself disabled and ignores every event; because both methods are
 //! trivially inlinable, a call site instantiated with `NullProbe`
 //! compiles to exactly the uninstrumented code — observation is free
@@ -29,8 +30,8 @@ pub trait Probe {
 
 /// The zero-overhead default probe: disabled, ignores everything.
 ///
-/// Pass `&mut NullProbe` (or use the non-`_probed` engine entry points,
-/// which do so internally) to run without instrumentation.
+/// Pass `&mut NullProbe` (or use the plain engine entry points, which do
+/// so internally) to run without instrumentation.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NullProbe;
 
@@ -204,7 +205,7 @@ mod tests {
         let jsonl = r.to_jsonl();
         let header = jsonl.lines().next().unwrap();
         assert!(
-            header.contains("\"schema\":\"spacetime-obs/1\""),
+            header.contains("\"schema\":\"spacetime-obs/2\""),
             "{header}"
         );
         assert!(header.contains("\"dropped\":2"), "{header}");

@@ -5,7 +5,7 @@
 //! tooling (CSV readers, `chrome://tracing`) parses these bytes.
 
 use st_core::Time;
-use st_obs::{chrome_trace, events_jsonl, spike_raster_csv, ObsEvent, RunStats};
+use st_obs::{chrome_trace, events_jsonl, spike_raster_csv, ObsEvent};
 
 fn t(v: u64) -> Time {
     Time::finite(v)
@@ -13,8 +13,8 @@ fn t(v: u64) -> Time {
 
 /// A deterministic miniature run touching every event the exporters
 /// treat specially: two marked volleys, gate/wire/neuron spikes, a
-/// potential trajectory, a WTA decision, an STDP delta, and the batch
-/// engine's timing events.
+/// potential trajectory, a WTA decision, a latch capture, an STDP delta
+/// and an infinite time.
 fn fixture() -> Vec<ObsEvent> {
     vec![
         ObsEvent::VolleyStart { index: 0 },
@@ -60,28 +60,6 @@ fn fixture() -> Vec<ObsEvent> {
             op: "lt",
             at: Time::INFINITY,
         },
-        ObsEvent::VolleyTimed {
-            index: 0,
-            nanos: 1_500,
-            spikes: 1,
-        },
-        ObsEvent::VolleyTimed {
-            index: 1,
-            nanos: 2_500,
-            spikes: 0,
-        },
-        ObsEvent::ChunkTiming {
-            worker: 0,
-            start: 0,
-            len: 2,
-            start_nanos: 100,
-            nanos: 4_000,
-        },
-        ObsEvent::StageTiming {
-            stage: "eval",
-            start_nanos: 0,
-            nanos: 5_000,
-        },
     ]
 }
 
@@ -96,11 +74,6 @@ fn regenerate_goldens() {
     std::fs::write(dir.join("raster.csv"), spike_raster_csv(&events)).unwrap();
     std::fs::write(dir.join("chrome.json"), chrome_trace(&events)).unwrap();
     std::fs::write(dir.join("events.jsonl"), events_jsonl(&events)).unwrap();
-    std::fs::write(
-        dir.join("stats.txt"),
-        RunStats::from_events(&events).to_string(),
-    )
-    .unwrap();
 }
 
 #[test]
@@ -121,13 +94,5 @@ fn jsonl_matches_golden() {
     assert_eq!(
         events_jsonl(&fixture()),
         include_str!("golden/events.jsonl")
-    );
-}
-
-#[test]
-fn stats_summary_matches_golden() {
-    assert_eq!(
-        RunStats::from_events(&fixture()).to_string(),
-        include_str!("golden/stats.txt")
     );
 }

@@ -38,7 +38,6 @@
 //! `verify.window` spans under it.
 
 use std::cell::OnceCell;
-use std::time::Instant;
 
 use st_core::{FunctionTable, Time, Volley};
 use st_lint::{Code, Diagnostic, Location, Report, Severity};
@@ -108,18 +107,6 @@ impl Pass {
         ALL_PASSES.iter().copied().find(|p| p.name() == name)
     }
 
-    /// The per-pass wall-time histogram name.
-    fn nanos_metric(self) -> &'static str {
-        match self {
-            Pass::ConstantFold => "opt.pass.constant_fold.nanos",
-            Pass::RelationalFold => "opt.pass.relational_fold.nanos",
-            Pass::FuseDelayChains => "opt.pass.fuse_delay_chains.nanos",
-            Pass::ShareSubexpressions => "opt.pass.share_subexpressions.nanos",
-            Pass::EliminateDead => "opt.pass.eliminate_dead.nanos",
-            Pass::MinimizeTable => "opt.pass.minimize_table.nanos",
-        }
-    }
-
     /// The per-pass span name recorded by the traced pipeline.
     fn span_name(self) -> &'static str {
         match self {
@@ -179,8 +166,6 @@ pub struct PassRecord {
     ///
     /// [`EquivProof::volleys`]: st_verify::equiv::EquivProof::volleys
     pub volleys: u64,
-    /// Wall-clock nanoseconds spent in the pass plus its check.
-    pub wall_nanos: u64,
 }
 
 impl PassRecord {
@@ -269,7 +254,8 @@ impl OptOutcome {
 }
 
 /// Records the run into a metric sink under the `opt.*` names the bench
-/// matrix and `docs/metrics.md` catalogue.
+/// matrix and `docs/metrics.md` catalogue. A pass's time is its
+/// `opt.pass.<name>` span, not a metric.
 pub fn record_metrics<M: MetricSink>(outcome: &OptOutcome, sink: &mut M) {
     if !sink.is_live() {
         return;
@@ -282,9 +268,6 @@ pub fn record_metrics<M: MetricSink>(outcome: &OptOutcome, sink: &mut M) {
     );
     sink.incr("opt.passes_run", outcome.records.len() as u64);
     sink.incr("opt.passes_rejected", outcome.rejected() as u64);
-    for r in &outcome.records {
-        sink.observe(r.pass.nanos_metric(), r.wall_nanos);
-    }
 }
 
 /// Gates one candidate behind the artifact it must equal: exhaustive
@@ -439,7 +422,6 @@ pub fn optimize_network_traced<T: Tracer>(
     let mut records = Vec::new();
 
     for pass in pipeline {
-        let start = Instant::now();
         let span = tracer.begin(pass.span_name(), parent);
         let before = current.gate_count();
         let candidate = match pass {
@@ -468,7 +450,6 @@ pub fn optimize_network_traced<T: Tracer>(
             after: current.gate_count(),
             verdict,
             volleys,
-            wall_nanos: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
         });
     }
 
@@ -515,7 +496,6 @@ pub fn optimize_table_traced<T: Tracer>(
     let mut records = Vec::new();
 
     for pass in pipeline {
-        let start = Instant::now();
         let span = tracer.begin(pass.span_name(), parent);
         let before = current.len();
         let (candidate, dropped) = match pass {
@@ -552,7 +532,6 @@ pub fn optimize_table_traced<T: Tracer>(
             after,
             verdict,
             volleys,
-            wall_nanos: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
         });
     }
 
@@ -800,11 +779,6 @@ mod tests {
         assert_eq!(counters["opt.gates_after"], outcome.after as u64);
         assert_eq!(counters["opt.passes_run"], 5);
         assert_eq!(counters["opt.passes_rejected"], 0);
-        assert!(
-            registry
-                .histograms()
-                .any(|(name, _)| name == "opt.pass.constant_fold.nanos"),
-            "per-pass timing histogram"
-        );
+        assert_eq!(registry.histograms().count(), 0, "durations are spans");
     }
 }

@@ -98,6 +98,21 @@ pub fn column_to_text(column: &Column) -> String {
     out
 }
 
+/// The most unit response steps one neuron of a column file may
+/// materialize: Σ|w| · (steps in the unit response) over its synapses.
+/// Evaluating or lowering a neuron repeats every response step |w| times
+/// per synapse (the Fig. 14 amplitude-scaling weight model), so a file
+/// weight near `i32::MAX` would otherwise allocate gigabytes.
+pub const MAX_NEURON_STEPS: u64 = 1 << 12;
+
+/// Σ|w| · `steps` over `weights`, or `None` past `u64`.
+fn materialized_steps(weights: &[i32], steps: usize) -> Option<u64> {
+    let steps = u64::try_from(steps).ok()?;
+    weights.iter().try_fold(0u64, |total, w| {
+        total.checked_add(u64::from(w.unsigned_abs()).checked_mul(steps)?)
+    })
+}
+
 fn parse_numbers<T: core::str::FromStr>(
     tokens: &mut std::iter::Peekable<std::str::SplitWhitespace<'_>>,
 ) -> Vec<T> {
@@ -191,6 +206,13 @@ pub fn parse_column(text: &str) -> Result<Column, ParseIoError> {
                 let unit = response
                     .clone()
                     .ok_or_else(|| err("`response` line must precede neurons".into()))?;
+                let steps = unit.step_count();
+                if materialized_steps(&weights, steps).is_none_or(|n| n > MAX_NEURON_STEPS) {
+                    return Err(err(format!(
+                        "weights too large: Σ|w| × {steps} response steps exceeds \
+                         {MAX_NEURON_STEPS}"
+                    )));
+                }
                 let synapses = delays
                     .into_iter()
                     .zip(weights)
@@ -351,6 +373,18 @@ mod tests {
             ("response ups 1 downs\nneuron theta x delays 0 weights 1\n", 2, "bad threshold"),
             ("neuron theta 1 delays 0 weights 1\n", 1, "must precede"),
             ("flumph\n", 1, "unknown directive"),
+            (
+                "inhibition wta 1\nresponse ups 0 1 downs 3 5\n\
+                 neuron theta 3 delays 0 1 weights 2147483647 2147483647\n",
+                3,
+                "weights too large",
+            ),
+            (
+                "response ups 0 1 downs 3 5\n\
+                 neuron theta 3 delays 0 1 weights -2147483648 -2147483648\n",
+                2,
+                "weights too large",
+            ),
             ("", 0, "no neurons"),
             (
                 "response ups 1 downs\nneuron theta 1 delays 0 weights 1\nneuron theta 1 delays 0 0 weights 1 1\n",
@@ -363,6 +397,17 @@ mod tests {
             assert_eq!(e.line, line, "{text:?}: {e}");
             assert!(e.to_string().contains(needle), "{text:?}: {e}");
         }
+    }
+
+    #[test]
+    fn materialized_steps_are_bounded_without_overflow() {
+        assert_eq!(materialized_steps(&[2, -1], 4), Some(12));
+        assert_eq!(materialized_steps(&[i32::MIN, i32::MIN], 4), Some(1 << 34));
+        assert_eq!(materialized_steps(&[i32::MAX], usize::MAX), None);
+        // The bound itself is accepted, one step past it is not.
+        let at = |w: u64| format!("response ups 1 downs\nneuron theta 1 delays 0 weights {w}\n");
+        assert!(parse_column(&at(MAX_NEURON_STEPS)).is_ok());
+        assert!(parse_column(&at(MAX_NEURON_STEPS + 1)).is_err());
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! is a kernel plan and every volley fits its lanes, and one volley
 //! otherwise. A lone chunk runs inline on the calling thread; otherwise
 //! each chunk gets its own scoped worker (`std::thread::scope`, no
-//! dependencies), joined in worker order. One merge then records every
-//! metric and timing event from the chunks, which arrive in index order.
+//! dependencies), joined in worker order. One merge then replays every
+//! chunk's buffered probe events and metrics, which arrive in index
+//! order. Durations are recorded only as `st-trace` spans.
 //!
 //! Results are **bit-identical to the sequential engines** regardless of
 //! thread count — each output is a pure function of one input volley, so
@@ -45,14 +46,13 @@
 //! ```
 
 use std::fmt;
-use std::time::Instant;
 
 use st_core::{lane, CompiledTable, CoreError, FunctionTable, Volley};
 use st_grl::{compile_network, GrlNetlist, GrlScratch, GrlSim};
 use st_kernel::{PacketStats, Plan, Scratch};
 use st_metrics::{MetricSink, MetricsRegistry, NullMetrics};
 use st_net::{CompiledNetwork, EventSim, Network};
-use st_obs::{NullProbe, ObsEvent, Probe};
+use st_obs::{NullProbe, Probe, Recorder};
 use st_tnn::Column;
 use st_trace::{NullTracer, SpanId, Tracer};
 
@@ -165,22 +165,27 @@ impl CompiledArtifact {
     /// Returns [`CoreError::ArityMismatch`] if the volley's width differs
     /// from [`CompiledArtifact::input_width`].
     pub fn eval_one(&self, volley: &Volley) -> Result<Volley, CoreError> {
-        self.eval_one_metered(volley, &mut NullMetrics)
+        self.eval_one_instrumented(volley, &mut NullProbe, &mut NullMetrics)
     }
 
-    /// [`CompiledArtifact::eval_one`] with a metric sink: routes to the
-    /// engine's metered entry point (`net.*`, `grl.*`, `srm0.*`/`tnn.*`
-    /// counters) or, for function tables, counts `table.lookups`. With
-    /// [`NullMetrics`] this compiles to exactly
-    /// [`CompiledArtifact::eval_one`]; results are identical for any sink.
+    /// [`CompiledArtifact::eval_one`] with a probe and a metric sink:
+    /// routes to the engine's `*_instrumented` entry point, whose probe
+    /// gets the engine's model-time events (gate firings, wire falls,
+    /// potentials and spikes, WTA decisions; a function table records
+    /// none) and whose sink gets its counters (`net.*`, `grl.*`,
+    /// `srm0.*`/`tnn.*`, `kernel.*`, or `table.lookups`). With
+    /// [`NullProbe`] and [`NullMetrics`] this compiles to exactly
+    /// [`CompiledArtifact::eval_one`]; results are identical for any
+    /// instruments.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::ArityMismatch`] if the volley's width differs
     /// from [`CompiledArtifact::input_width`].
-    pub fn eval_one_metered<M: MetricSink>(
+    pub fn eval_one_instrumented<P: Probe, M: MetricSink>(
         &self,
         volley: &Volley,
+        probe: &mut P,
         sink: &mut M,
     ) -> Result<Volley, CoreError> {
         match self {
@@ -192,7 +197,7 @@ impl CompiledArtifact {
                 Ok(out)
             }
             CompiledArtifact::Network(n) => n
-                .run_instrumented(volley.times(), &mut NullProbe, sink)
+                .run_instrumented(volley.times(), probe, sink)
                 .map(|r| Volley::new(r.outputs)),
             CompiledArtifact::Column(c) => {
                 if volley.width() != c.input_width() {
@@ -201,19 +206,13 @@ impl CompiledArtifact {
                         actual: volley.width(),
                     });
                 }
-                Ok(c.eval_instrumented(volley, &mut NullProbe, sink))
+                Ok(c.eval_instrumented(volley, probe, sink))
             }
             CompiledArtifact::Grl(g) => GrlSim::new()
-                .run_instrumented(
-                    g,
-                    volley.times(),
-                    &mut GrlScratch::default(),
-                    &mut NullProbe,
-                    sink,
-                )
+                .run_instrumented(g, volley.times(), &mut GrlScratch::default(), probe, sink)
                 .map(|r| Volley::new(r.outputs)),
             CompiledArtifact::Kernel(p) => p
-                .eval_instrumented(volley.times(), &mut NullProbe, sink)
+                .eval_instrumented(volley.times(), probe, sink)
                 .map(Volley::new),
         }
     }
@@ -340,34 +339,37 @@ impl BatchEvaluator {
     /// [`BatchEvaluator::eval`] with a probe, a metric sink and a span
     /// tracer. With [`NullProbe`], [`NullMetrics`] and [`NullTracer`]
     /// this is exactly [`BatchEvaluator::eval`]; outputs are identical
-    /// for any instruments, and timestamps are captured only when one of
-    /// them is live. What each one records, on success only:
+    /// for any instruments. What each one records, on success only:
     ///
-    /// - **probe:** one [`ObsEvent::VolleyTimed`] per volley (wall-clock
-    ///   latency and output spike count; on the SWAR path each volley's
-    ///   even share of its packet), then one [`ObsEvent::ChunkTiming`]
-    ///   per chunk, then a closing `"eval"` [`ObsEvent::StageTiming`].
-    /// - **sink:** the per-volley engine counters (via
-    ///   [`CompiledArtifact::eval_one_metered`]) or, on the SWAR path,
+    /// - **probe:** per volley, in index order, one
+    ///   [`ObsEvent::VolleyStart`] marker carrying the volley's index in
+    ///   the batch, then the events that volley's engine records (via
+    ///   [`CompiledArtifact::eval_one_instrumented`]). A SWAR packet
+    ///   records only its volleys' markers: the lane walk evaluates
+    ///   eight volleys per gate at once and has no per-gate events.
+    /// - **sink:** the per-volley engine counters or, on the SWAR path,
     ///   the `kernel.packets`/`kernel.gates_swar`/`kernel.gates_skipped`
-    ///   counters; plus the `batch.volleys`/`batch.chunks` counters and
-    ///   the `batch.volley_nanos`/`batch.chunk_nanos` histograms. Engine
-    ///   counters are identical for every thread count.
+    ///   counters; plus the `batch.volleys`/`batch.chunks` counters.
+    ///   Engine counters are identical for every thread count.
     /// - **tracer:** one `batch.chunk` span per chunk and, on the SWAR
     ///   path, one `kernel.packet` span per packet under its chunk, all
     ///   parented to `parent`: the dispatching stage span, whose id
     ///   crosses the `std::thread::scope` boundary explicitly. A lone
     ///   chunk records on the calling thread (`tid` 0); spawned workers
-    ///   record into buffers minted by [`Tracer::worker`].
+    ///   record into buffers minted by [`Tracer::worker`]. Spans are the
+    ///   only place a duration is recorded.
     ///
-    /// Chunks come back in worker order and each records in index
-    /// order, so events, histograms and spans merge deterministically.
+    /// Each chunk buffers its events and counters; the chunks come back
+    /// in worker order and are replayed in that order, so the probe
+    /// stream and the counters are the same at every thread count.
+    ///
+    /// [`ObsEvent::VolleyStart`]: st_obs::ObsEvent::VolleyStart
     ///
     /// # Errors
     ///
     /// Returns the lowest-index [`BatchError`] if any volley fails; no
-    /// timing events, metrics, or spans are recorded for a failed batch
-    /// (the trace is truncated back to its state at entry).
+    /// events, metrics, or spans are recorded for a failed batch (the
+    /// trace is truncated back to its state at entry).
     pub fn eval_instrumented<P: Probe, M: MetricSink, T: Tracer>(
         &self,
         artifact: &CompiledArtifact,
@@ -394,9 +396,8 @@ impl BatchEvaluator {
         let job = Job {
             artifact,
             packets,
-            timed: probe.is_enabled() || sink.is_live() || tracer.is_enabled(),
+            probed: probe.is_enabled(),
             metered: sink.is_live(),
-            stage_start: Instant::now(), // cheap; read only when timed
             parent,
         };
         let trace_mark = tracer.mark();
@@ -447,45 +448,19 @@ impl BatchEvaluator {
         if job.metered {
             sink.incr("batch.volleys", volleys.len() as u64);
             sink.incr("batch.chunks", chunks.len() as u64);
-            for chunk in &chunks {
-                if let Some(registry) = &chunk.registry {
-                    sink.absorb(registry);
-                }
-                if job.packets.is_some() {
-                    sink.incr("kernel.packets", chunk.len.div_ceil(lane::LANES) as u64);
-                    sink.incr("kernel.gates_swar", chunk.stats.gates_swar);
-                    sink.incr("kernel.gates_skipped", chunk.stats.gates_skipped);
-                }
-                for &(nanos, _) in &chunk.timings {
-                    sink.observe("batch.volley_nanos", nanos);
-                }
-                sink.observe("batch.chunk_nanos", chunk.nanos);
-            }
         }
-        if probe.is_enabled() {
-            for chunk in &chunks {
-                for (offset, &(nanos, spikes)) in chunk.timings.iter().enumerate() {
-                    probe.record(ObsEvent::VolleyTimed {
-                        index: chunk.start + offset,
-                        nanos,
-                        spikes,
-                    });
-                }
+        for chunk in chunks {
+            if let Some(registry) = &chunk.registry {
+                sink.absorb(registry);
             }
-            for (worker, chunk) in chunks.iter().enumerate() {
-                probe.record(ObsEvent::ChunkTiming {
-                    worker,
-                    start: chunk.start,
-                    len: chunk.len,
-                    start_nanos: chunk.start_nanos,
-                    nanos: chunk.nanos,
-                });
+            if job.metered && job.packets.is_some() {
+                sink.incr("kernel.packets", chunk.len.div_ceil(lane::LANES) as u64);
+                sink.incr("kernel.gates_swar", chunk.stats.gates_swar);
+                sink.incr("kernel.gates_skipped", chunk.stats.gates_skipped);
             }
-            probe.record(ObsEvent::StageTiming {
-                stage: "eval",
-                start_nanos: 0,
-                nanos: job.stage_start.elapsed().as_nanos() as u64,
-            });
+            for event in chunk.events.into_iter().flat_map(Recorder::into_events) {
+                probe.record(event);
+            }
         }
         Ok(outputs)
     }
@@ -497,28 +472,20 @@ struct Job<'a> {
     artifact: &'a CompiledArtifact,
     /// The kernel plan, when the call takes SWAR packets.
     packets: Option<&'a Plan>,
-    /// Whether any instrument is live, so timestamps are worth taking.
-    timed: bool,
+    /// Whether the probe is enabled, so chunks buffer events.
+    probed: bool,
     /// Whether the sink is live, so chunks meter into registries.
     metered: bool,
-    stage_start: Instant,
     parent: SpanId,
 }
 
 /// What one chunk hands back to the merge.
 struct Chunk {
-    /// Index of the chunk's first volley within the batch.
-    start: usize,
     len: usize,
-    /// Chunk start after the stage start, and chunk duration (0 when
-    /// untimed).
-    start_nanos: u64,
-    nanos: u64,
-    /// Per volley, in index order: wall-clock nanos and output spikes
-    /// (empty when untimed).
-    timings: Vec<(u64, usize)>,
     /// The packet walk's gate counts (zero off the SWAR path).
     stats: PacketStats,
+    /// The chunk's probe events, in index order, when probed.
+    events: Option<Recorder>,
     /// The per-volley engine counters, when metered.
     registry: Option<MetricsRegistry>,
     /// The chunk's first failure; it stops the chunk.
@@ -530,7 +497,7 @@ impl Job<'_> {
     /// into `output` under one `batch.chunk` span: eight at a time
     /// through [`Plan::eval_packet`] on SWAR calls, each under a
     /// `kernel.packet` span, and one at a time through
-    /// [`CompiledArtifact::eval_one_metered`] otherwise.
+    /// [`CompiledArtifact::eval_one_instrumented`] otherwise.
     fn run_chunk<T: Tracer>(
         &self,
         start: usize,
@@ -538,29 +505,26 @@ impl Job<'_> {
         output: &mut [Volley],
         tracer: &mut T,
     ) -> Chunk {
-        let chunk_start = self.timed.then(Instant::now);
         let span = tracer.begin("batch.chunk", self.parent);
         let mut chunk = Chunk {
-            start,
             len: input.len(),
-            start_nanos: 0,
-            nanos: 0,
-            timings: Vec::new(),
             stats: PacketStats::default(),
+            events: self.probed.then(Recorder::new),
             registry: self.metered.then(MetricsRegistry::new),
             error: None,
         };
-        if self.timed {
-            chunk.timings.reserve_exact(input.len());
-        }
         if let Some(plan) = self.packets {
             let traced = tracer.is_enabled();
             let mut scratch = Scratch::default();
-            for (packet, slots) in input
+            for (offset, (packet, slots)) in input
                 .chunks(lane::LANES)
                 .zip(output.chunks_mut(lane::LANES))
+                .enumerate()
             {
-                let t0 = self.timed.then(Instant::now);
+                if let Some(events) = &mut chunk.events {
+                    let first = start + offset * lane::LANES;
+                    (first..first + packet.len()).for_each(|index| events.begin_volley(index));
+                }
                 let packet_span = if traced {
                     tracer.begin("kernel.packet", span)
                 } else {
@@ -572,19 +536,15 @@ impl Job<'_> {
                 if traced {
                     tracer.end(packet_span);
                 }
-                if let Some(t0) = t0 {
-                    let share = t0.elapsed().as_nanos() as u64 / packet.len() as u64;
-                    chunk
-                        .timings
-                        .extend(slots.iter().map(|slot| (share, slot.spike_count())));
-                }
             }
         } else {
             for (offset, (volley, slot)) in input.iter().zip(output).enumerate() {
-                let t0 = self.timed.then(Instant::now);
-                let result = match &mut chunk.registry {
-                    Some(registry) => self.artifact.eval_one_metered(volley, registry),
-                    None => self.artifact.eval_one(volley),
+                let result = match &mut chunk.events {
+                    Some(events) => {
+                        events.begin_volley(start + offset);
+                        self.eval_one(volley, events, chunk.registry.as_mut())
+                    }
+                    None => self.eval_one(volley, &mut NullProbe, chunk.registry.as_mut()),
                 };
                 match result {
                     Ok(out) => *slot = out,
@@ -596,19 +556,26 @@ impl Job<'_> {
                         break;
                     }
                 }
-                if let Some(t0) = t0 {
-                    chunk
-                        .timings
-                        .push((t0.elapsed().as_nanos() as u64, slot.spike_count()));
-                }
             }
         }
         tracer.end(span);
-        if let Some(t0) = chunk_start {
-            chunk.start_nanos = (t0 - self.stage_start).as_nanos() as u64;
-            chunk.nanos = t0.elapsed().as_nanos() as u64;
-        }
         chunk
+    }
+
+    /// One volley through [`CompiledArtifact::eval_one_instrumented`],
+    /// metered into the chunk's registry when there is one.
+    fn eval_one<P: Probe>(
+        &self,
+        volley: &Volley,
+        probe: &mut P,
+        registry: Option<&mut MetricsRegistry>,
+    ) -> Result<Volley, CoreError> {
+        match registry {
+            Some(registry) => self.artifact.eval_one_instrumented(volley, probe, registry),
+            None => self
+                .artifact
+                .eval_one_instrumented(volley, probe, &mut NullMetrics),
+        }
     }
 }
 
@@ -678,13 +645,28 @@ mod tests {
     }
 
     #[test]
-    fn probed_eval_matches_and_times_every_volley() {
-        use st_obs::Recorder;
-        let artifact = CompiledArtifact::from_table(&paper_table());
+    fn probed_eval_matches_and_marks_every_volley() {
+        use st_net::synth::{synthesize, SynthesisOptions};
+        use st_obs::ObsEvent;
+        let network = synthesize(&paper_table(), SynthesisOptions::pure());
+        let artifact = CompiledArtifact::from_network(&network);
         let volleys = volleys3(2);
         let expected = BatchEvaluator::with_threads(1)
             .eval(&artifact, &volleys)
             .unwrap();
+        // A sequential run of the network engine, one marker per volley.
+        let compiled = EventSim::new().compile(&network);
+        let mut sequential = Recorder::new();
+        for (index, volley) in volleys.iter().enumerate() {
+            sequential.begin_volley(index);
+            compiled
+                .run_instrumented(volley.times(), &mut sequential, &mut NullMetrics)
+                .unwrap();
+        }
+        assert!(sequential
+            .events()
+            .iter()
+            .any(|e| matches!(e, ObsEvent::GateFired { .. })));
         for threads in [1, 3] {
             let mut recorder = Recorder::new();
             let got = BatchEvaluator::with_threads(threads)
@@ -698,36 +680,7 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(got, expected, "threads = {threads}");
-            let timed: Vec<usize> = recorder
-                .events()
-                .iter()
-                .filter_map(|e| match *e {
-                    ObsEvent::VolleyTimed { index, .. } => Some(index),
-                    _ => None,
-                })
-                .collect();
-            // Every volley timed exactly once, in index order.
-            assert_eq!(timed, (0..volleys.len()).collect::<Vec<_>>());
-            let chunks: Vec<(usize, usize, usize)> = recorder
-                .events()
-                .iter()
-                .filter_map(|e| match *e {
-                    ObsEvent::ChunkTiming {
-                        worker, start, len, ..
-                    } => Some((worker, start, len)),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(chunks.len(), threads.min(volleys.len()));
-            assert_eq!(
-                chunks.iter().map(|&(_, _, len)| len).sum::<usize>(),
-                volleys.len()
-            );
-            // The stage timing closes the stream.
-            assert!(matches!(
-                recorder.events().last(),
-                Some(ObsEvent::StageTiming { stage: "eval", .. })
-            ));
+            assert_eq!(recorder, sequential, "threads = {threads}");
         }
 
         // A failed batch records nothing.
@@ -774,23 +727,8 @@ mod tests {
                 threads.min(volleys.len()) as u64
             );
             assert_eq!(sink.counter("table.lookups"), volleys.len() as u64);
-            // Histograms are asserted through `map_or` rather than
-            // `unwrap` so a missing stream reads as a count of zero and
-            // fails the equality with a useful message instead of
-            // panicking the whole test.
-            assert_eq!(
-                sink.histogram("batch.volley_nanos")
-                    .map_or(0, st_metrics::Histogram::count),
-                volleys.len() as u64,
-                "threads = {threads}"
-            );
-            assert_eq!(
-                sink.histogram("batch.chunk_nanos")
-                    .map_or(0, st_metrics::Histogram::count),
-                threads.min(volleys.len()) as u64,
-                "threads = {threads}"
-            );
-            // Engine counters (everything except wall-clock noise) are
+            assert_eq!(sink.histograms().count(), 0, "durations are spans");
+            // Engine counters (everything except the chunk count) are
             // identical at every thread count.
             if let Some(base) = &baseline {
                 let base_counts: Vec<_> = base

@@ -9,10 +9,10 @@
 use std::process::ExitCode;
 
 use spacetime::core::{FunctionTable, Time, Volley};
-use spacetime::grl::{try_compile_network, try_to_vcd, GrlScratch, GrlSim};
+use spacetime::grl::{try_compile_network, try_to_vcd, GrlSim};
 use spacetime::metrics::NullMetrics;
 use spacetime::net::synth::{synthesize, SynthesisOptions};
-use spacetime::net::{analysis, gate_counts, EventSim, Network};
+use spacetime::net::{analysis, gate_counts, Network};
 use spacetime::obs::NullProbe;
 use spacetime::trace::{NullTracer, SpanId};
 
@@ -124,9 +124,9 @@ USAGE:
                                                 between two artifacts' runs
                                                 (--diff; exits 1 on
                                                 divergence); --trace analyses
-                                                a recorded spacetime-obs/1
-                                                JSONL export instead of
-                                                re-running
+                                                a recorded spacetime-obs/2
+                                                (or /1) JSONL export instead
+                                                of re-running
   spacetime bench [--quick|--full] [--label L] [--threads T1,T2,…]
                   [--out <file>] [--history <f>] time the engine scenario
                                                 matrix and emit a
@@ -989,20 +989,6 @@ fn cmd_opt(args: &[String]) -> Result<bool, String> {
     Ok(!check || outcome.is_clean())
 }
 
-/// The evaluable form the trace subcommand drives its per-volley spike
-/// pass through (the batch timing pass uses a [`CompiledArtifact`]
-/// alongside it).
-///
-/// [`CompiledArtifact`]: spacetime::batch::CompiledArtifact
-enum TraceForm {
-    /// An event-driven gate network ([`EventSim::compile`]).
-    Net(spacetime::net::CompiledNetwork),
-    /// A race-logic netlist, cycle-accurately simulated.
-    Grl(spacetime::grl::GrlNetlist),
-    /// An SRM0 column with lateral inhibition.
-    Column(spacetime::tnn::Column),
-}
-
 /// The default input sweep for an untraced-volley `spacetime trace` run:
 /// exhaustive over window 3 for narrow inputs, otherwise an all-zeros
 /// volley plus one single-spike volley per line — deterministic either
@@ -1023,50 +1009,33 @@ fn default_sweep(width: usize) -> Vec<Volley> {
     }
 }
 
-/// Runs a volley batch through a [`TraceForm`] sequentially, marking
-/// each volley and collecting the probed model-time events.
-fn record_probed(
-    form: &TraceForm,
+/// Runs `volleys` through `artifact` on the batch engine with a recorder
+/// and `sink` attached. The recorder gets, per volley, its `VolleyStart`
+/// marker and the events its engine records, in index order at any
+/// thread count.
+fn record_run<M: spacetime::metrics::MetricSink>(
+    evaluator: &spacetime::batch::BatchEvaluator,
+    artifact: &spacetime::batch::CompiledArtifact,
     volleys: &[Volley],
-    recorder: &mut spacetime::obs::Recorder,
-) -> Result<(), String> {
-    for (index, volley) in volleys.iter().enumerate() {
-        recorder.begin_volley(index);
-        match form {
-            TraceForm::Net(compiled) => {
-                compiled
-                    .run_instrumented(volley.times(), recorder, &mut NullMetrics)
-                    .map_err(|e| format!("volley {index}: {e}"))?;
-            }
-            TraceForm::Grl(netlist) => {
-                GrlSim::new()
-                    .run_instrumented(
-                        netlist,
-                        volley.times(),
-                        &mut GrlScratch::default(),
-                        recorder,
-                        &mut NullMetrics,
-                    )
-                    .map_err(|e| format!("volley {index}: {e}"))?;
-            }
-            TraceForm::Column(column) => {
-                if volley.width() != column.input_width() {
-                    return Err(format!(
-                        "volley {index}: column expects width {}, got {}",
-                        column.input_width(),
-                        volley.width()
-                    ));
-                }
-                column.eval_instrumented(volley, recorder, &mut NullMetrics);
-            }
-        }
-    }
-    Ok(())
+    sink: &mut M,
+) -> Result<spacetime::obs::Recorder, spacetime::batch::BatchError> {
+    let mut recorder = spacetime::obs::Recorder::new();
+    evaluator.eval_instrumented(
+        artifact,
+        volleys,
+        &mut recorder,
+        sink,
+        &mut NullTracer,
+        SpanId::NONE,
+    )?;
+    Ok(recorder)
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {
     use spacetime::batch::{BatchEvaluator, CompiledArtifact};
-    use spacetime::obs::{chrome_trace, events_jsonl, spike_raster_csv, Recorder, RunStats};
+    use spacetime::insight::{InsightStats, SpikeDb};
+    use spacetime::metrics::{MetricsRegistry, MetricsSnapshot};
+    use spacetime::obs::{chrome_trace, events_jsonl, spike_raster_csv};
 
     let mut path = None;
     let mut format = "stats".to_owned();
@@ -1114,53 +1083,35 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         .to_owned()
     });
 
-    // Build the spike-pass form and the batch-pass artifact. The table
-    // engine evaluates through the compiled table but takes its gate
-    // events from the Theorem 1 synthesis of the same table.
-    let (form, artifact) = match (kind, engine.as_str()) {
+    // A table traced through the table engine takes its events from the
+    // Theorem 1 synthesis of the table, whose gates fire; only its
+    // counters (`--format prom`) come from the compiled table.
+    let artifact = match (kind, engine.as_str()) {
         ("table", "table" | "net" | "grl") => {
             let table = FunctionTable::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-            let network = synthesize(&table, SynthesisOptions::default());
             match engine.as_str() {
-                "table" => (
-                    TraceForm::Net(EventSim::new().compile(&network)),
-                    CompiledArtifact::from_table(&table),
-                ),
-                "net" => (
-                    TraceForm::Net(EventSim::new().compile(&network)),
-                    CompiledArtifact::from_network(&network),
-                ),
+                "table" if format == "prom" => CompiledArtifact::from_table(&table),
+                "grl" => CompiledArtifact::try_from_grl_network(&synthesize(
+                    &table,
+                    SynthesisOptions::default(),
+                ))?,
                 _ => {
-                    let netlist = try_compile_network(&network).map_err(|e| e.to_string())?;
-                    (
-                        TraceForm::Grl(netlist.clone()),
-                        CompiledArtifact::from(netlist),
-                    )
+                    CompiledArtifact::from_network(&synthesize(&table, SynthesisOptions::default()))
                 }
             }
         }
-        ("net", "net") => {
+        ("net", "net" | "grl") => {
             let network =
                 spacetime::net::parse_network(&text).map_err(|e| format!("{path}: {e}"))?;
-            let artifact = CompiledArtifact::from_network(&network);
-            (TraceForm::Net(EventSim::new().compile(&network)), artifact)
+            if engine == "grl" {
+                CompiledArtifact::try_from_grl_network(&network)?
+            } else {
+                CompiledArtifact::from_network(&network)
+            }
         }
-        ("net", "grl") => {
-            let network =
-                spacetime::net::parse_network(&text).map_err(|e| format!("{path}: {e}"))?;
-            let netlist = try_compile_network(&network).map_err(|e| e.to_string())?;
-            (
-                TraceForm::Grl(netlist.clone()),
-                CompiledArtifact::from(netlist),
-            )
-        }
-        ("column", "column") => {
-            let column = spacetime::tnn::parse_column(&text).map_err(|e| format!("{path}: {e}"))?;
-            (
-                TraceForm::Column(column.clone()),
-                CompiledArtifact::from(column),
-            )
-        }
+        ("column", "column") => CompiledArtifact::from(
+            spacetime::tnn::parse_column(&text).map_err(|e| format!("{path}: {e}"))?,
+        ),
         (kind, engine) => {
             return Err(format!(
                 "the {engine} engine cannot trace a {kind} file (try a different --engine)"
@@ -1177,81 +1128,38 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         None => default_sweep(artifact.input_width()),
     };
 
-    // The prom format skips the event passes entirely: it runs the batch
-    // engine with a metrics sink attached and renders the counter
-    // snapshot in the Prometheus text exposition format.
-    if format == "prom" {
-        use spacetime::metrics::{MetricsRegistry, MetricsSnapshot};
-        let evaluator = threads.map_or_else(BatchEvaluator::new, BatchEvaluator::with_threads);
-        let mut registry = MetricsRegistry::new();
-        evaluator
-            .eval_instrumented(
-                &artifact,
-                &volleys,
-                &mut NullProbe,
-                &mut registry,
-                &mut NullTracer,
-                SpanId::NONE,
-            )
-            .map_err(|e| format!("{path}: {e}"))?;
-        let families = registry.counters().count() + registry.histograms().count();
-        let rendered = MetricsSnapshot::from_registry(&registry).to_prom_text();
-        match out {
-            Some(f) => {
-                std::fs::write(&f, &rendered).map_err(|e| format!("cannot write {f}: {e}"))?;
-                eprintln!(
-                    "wrote {f} ({families} metric families from {} volleys through the \
-                     {engine} engine)",
-                    volleys.len()
-                );
-            }
-            None => print!("{rendered}"),
-        }
-        return Ok(());
-    }
-
-    // Pass 1 — model-time events: one marked, probed sequential run per
-    // volley (gate firings / wire falls / potentials / WTA decisions).
-    let mut recorder = Recorder::new();
-    record_probed(&form, &volleys, &mut recorder)?;
-
-    // Pass 2 — wall-clock timing: the batch engine appends per-volley,
-    // per-chunk, and stage timings to the same stream.
+    // One batch run records the events and the counters; each format
+    // renders one of them.
     let evaluator = threads.map_or_else(BatchEvaluator::new, BatchEvaluator::with_threads);
-    evaluator
-        .eval_instrumented(
-            &artifact,
-            &volleys,
-            &mut recorder,
-            &mut NullMetrics,
-            &mut NullTracer,
-            SpanId::NONE,
-        )
+    let mut registry = MetricsRegistry::new();
+    let recorder = record_run(&evaluator, &artifact, &volleys, &mut registry)
         .map_err(|e| format!("{path}: {e}"))?;
-
     let events = recorder.events();
     let rendered = match format.as_str() {
+        "prom" => MetricsSnapshot::from_registry(&registry).to_prom_text(),
         "raster" => spike_raster_csv(events),
         "jsonl" => events_jsonl(events),
         "chrome" => chrome_trace(events),
-        _ => RunStats::from_events(events).to_string(),
+        _ => InsightStats::from_db(&SpikeDb::from_events(events)).render(),
     };
+    let what = if format == "prom" {
+        let families = registry.counters().count() + registry.histograms().count();
+        format!("{families} metric families")
+    } else {
+        format!("{} events", events.len())
+    };
+    let summary = format!(
+        "{what} from {} volleys through the {engine} engine",
+        volleys.len()
+    );
     match out {
         Some(f) => {
             std::fs::write(&f, &rendered).map_err(|e| format!("cannot write {f}: {e}"))?;
-            eprintln!(
-                "wrote {f} ({} events from {} volleys through the {engine} engine)",
-                events.len(),
-                volleys.len()
-            );
+            eprintln!("wrote {f} ({summary})");
         }
         None => {
             print!("{rendered}");
-            eprintln!(
-                "({} events from {} volleys through the {engine} engine)",
-                events.len(),
-                volleys.len()
-            );
+            eprintln!("({summary})");
         }
     }
     Ok(())
@@ -1293,21 +1201,6 @@ fn inspect_load(path: &str) -> Result<(String, &'static str, Network), String> {
         _ => spacetime::net::parse_network(&text).map_err(|e| format!("{path}: {e}"))?,
     };
     Ok((text, kind, network))
-}
-
-/// Records a probed event-simulation run of `network` over `volleys`
-/// into an indexed spike database.
-fn record_net_run(
-    network: &Network,
-    volleys: &[Volley],
-) -> Result<spacetime::insight::SpikeDb, String> {
-    let mut recorder = spacetime::obs::Recorder::new();
-    let form = TraceForm::Net(EventSim::new().compile(network));
-    record_probed(&form, volleys, &mut recorder)?;
-    Ok(spacetime::insight::SpikeDb::from_events_with_dropped(
-        recorder.events(),
-        recorder.dropped(),
-    ))
 }
 
 /// Writes a `--witness` replay pair: `<prefix>.net` (the inspected
@@ -1434,6 +1327,14 @@ fn cmd_inspect(args: &[String]) -> Result<bool, String> {
         None => default_sweep(network.input_count()),
     };
 
+    // Every recorded run comes from the batch engine with a recorder
+    // attached; its stream is the same at every thread count.
+    let evaluator = threads.map_or_else(BatchEvaluator::new, BatchEvaluator::with_threads);
+    let record_db = |artifact: &CompiledArtifact, label: &str| -> Result<SpikeDb, String> {
+        let recorder = record_run(&evaluator, artifact, &volleys, &mut NullMetrics)
+            .map_err(|e| format!("{label}: {e}"))?;
+        Ok(SpikeDb::from_events(recorder.events()))
+    };
     let load_trace_db = |tp: &String| -> Result<SpikeDb, String> {
         let ttext = std::fs::read_to_string(tp).map_err(|e| format!("cannot read {tp}: {e}"))?;
         Ok(parse_trace(&ttext)
@@ -1455,8 +1356,8 @@ fn cmd_inspect(args: &[String]) -> Result<bool, String> {
         if network.gate_count() == network_b.gate_count() {
             // Same shape ⇒ aligned gate indices: localize at gate level,
             // with the root cause's agreed source times as context.
-            let db_a = record_net_run(&network, &volleys)?;
-            let db_b = record_net_run(&network_b, &volleys)?;
+            let db_a = record_db(&CompiledArtifact::from_network(&network), &path)?;
+            let db_b = record_db(&CompiledArtifact::from_network(&network_b), other)?;
             let graph = to_lint_graph(&network);
             match diff_gate_runs(&graph, &db_a, &db_b).map_err(|e| e.to_string())? {
                 None => {
@@ -1472,7 +1373,6 @@ fn cmd_inspect(args: &[String]) -> Result<bool, String> {
         } else {
             // Different lowerings ⇒ gate indices are incomparable:
             // project to the observable output lines.
-            let evaluator = threads.map_or_else(BatchEvaluator::new, BatchEvaluator::with_threads);
             let run = |network: &Network, label: &str| -> Result<Vec<Vec<Time>>, String> {
                 let artifact = CompiledArtifact::from_network(network);
                 Ok(evaluator
@@ -1518,7 +1418,7 @@ fn cmd_inspect(args: &[String]) -> Result<bool, String> {
         }
         let db = match &trace_path {
             Some(tp) => load_trace_db(tp)?,
-            None => record_net_run(&network, &volleys)?,
+            None => record_db(&CompiledArtifact::from_network(&network), &path)?,
         };
         if db.is_truncated() {
             return Err(format!(
@@ -1604,14 +1504,14 @@ fn cmd_inspect(args: &[String]) -> Result<bool, String> {
         None => {
             let engine = engine
                 .unwrap_or_else(|| if kind == "column" { "column" } else { "net" }.to_owned());
-            let form = match engine.as_str() {
-                "net" | "table" => TraceForm::Net(EventSim::new().compile(&network)),
-                "grl" => TraceForm::Grl(try_compile_network(&network).map_err(|e| e.to_string())?),
+            let artifact = match engine.as_str() {
+                "net" | "table" => CompiledArtifact::from_network(&network),
+                "grl" => CompiledArtifact::try_from_grl_network(&network)?,
                 "column" => {
                     if kind != "column" {
                         return Err(format!("the column engine cannot inspect a {kind} file"));
                     }
-                    TraceForm::Column(
+                    CompiledArtifact::from(
                         spacetime::tnn::parse_column(&text).map_err(|e| format!("{path}: {e}"))?,
                     )
                 }
@@ -1621,9 +1521,7 @@ fn cmd_inspect(args: &[String]) -> Result<bool, String> {
                     ))
                 }
             };
-            let mut recorder = spacetime::obs::Recorder::new();
-            record_probed(&form, &volleys, &mut recorder)?;
-            SpikeDb::from_events_with_dropped(recorder.events(), recorder.dropped())
+            record_db(&artifact, &path)?
         }
     };
     let mut rendered = String::new();

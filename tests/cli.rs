@@ -337,16 +337,17 @@ fn fig6_net_file() -> TempFile {
 fn trace_exports_all_four_formats() {
     let net = fig6_net_file();
 
-    // stats: non-empty RunStats with volleys and a latency line.
+    // stats: the run statistics `inspect --stats` prints, with no
+    // wall-clock line.
     let out = bin()
         .args(["trace", net.to_str(), "--format", "stats"])
         .output()
         .unwrap();
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("RunStats:"), "{stdout}");
-    assert!(stdout.contains("volleys"), "{stdout}");
-    assert!(stdout.contains("latency"), "{stdout}");
+    assert!(stdout.starts_with("volleys: 125  events: "), "{stdout}");
+    assert!(stdout.contains("gate5"), "{stdout}");
+    assert!(!stdout.contains("latency"), "{stdout}");
 
     // raster: CSV header plus at least one net spike row.
     let out = bin()
@@ -369,7 +370,7 @@ fn trace_exports_all_four_formats() {
     let mut lines = stdout.lines();
     let header = lines.next().expect("header line");
     assert!(
-        header.starts_with("{\"schema\":\"spacetime-obs/1\""),
+        header.starts_with("{\"schema\":\"spacetime-obs/2\""),
         "not a versioned trace header: {header}"
     );
     for line in lines {
@@ -397,7 +398,8 @@ fn trace_exports_all_four_formats() {
     assert!(out.status.success(), "{out:?}");
     let written = std::fs::read_to_string(chrome.to_str()).unwrap();
     assert!(written.starts_with("{\"traceEvents\":["), "{written}");
-    assert!(written.contains("\"ph\":\"X\""), "{written}");
+    assert!(written.contains("\"ph\":\"i\""), "{written}");
+    assert!(!written.contains("\"pid\":0"), "{written}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("wrote"));
 }
 
@@ -422,7 +424,7 @@ fn trace_engine_and_volley_overrides() {
         .unwrap();
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("over 3 volleys"), "{stdout}");
+    assert!(stdout.starts_with("volleys: 3  "), "{stdout}");
 
     // Impossible engine/file pairings and bad formats are flat errors.
     let out = bin()
@@ -450,10 +452,9 @@ fn trace_prom_format_exports_counter_families() {
         stdout.contains("# TYPE spacetime_table_lookups counter"),
         "{stdout}"
     );
-    assert!(
-        stdout.contains("spacetime_batch_volley_nanos_bucket{le=\"+Inf\"}"),
-        "{stdout}"
-    );
+    assert!(stdout.contains("spacetime_batch_volleys 125\n"), "{stdout}");
+    // Durations are spans (`spacetime profile`), not metric families.
+    assert!(!stdout.contains("nanos"), "{stdout}");
 }
 
 #[test]
@@ -1175,7 +1176,7 @@ fn inspect_trace_mode_validates_the_export_schema() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("spacetime-obs/1"),
+        String::from_utf8_lossy(&out.stderr).contains("spacetime-obs/2"),
         "{out:?}"
     );
 }
@@ -1197,7 +1198,7 @@ fn bench_check_rejects_a_deeply_nested_report() {
 #[test]
 fn inspect_trace_rejects_hostile_lines_with_a_line_numbered_error() {
     let net = fig6_net_file();
-    let header = "{\"schema\":\"spacetime-obs/1\",\"events\":1,\"dropped\":0}\n";
+    let header = "{\"schema\":\"spacetime-obs/2\",\"events\":1,\"dropped\":0}\n";
     let cases = [
         (
             "at",
@@ -1245,6 +1246,75 @@ fn inspect_trace_rejects_hostile_lines_with_a_line_numbered_error() {
 /// Absolute path of a committed example artifact.
 fn example(name: &str) -> String {
     format!("{}/examples/data/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Runs the CLI and returns its stdout, asserting success.
+fn stdout_of(args: &[&str]) -> String {
+    let out = bin().args(args).output().unwrap();
+    assert!(out.status.success(), "{args:?}: {out:?}");
+    String::from_utf8(out.stdout).unwrap()
+}
+
+#[test]
+fn trace_and_inspect_agree_on_every_shipped_file() {
+    let dir = format!("{}/examples/data", env!("CARGO_MANIFEST_DIR"));
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 10, "{files:?}");
+    for file in files {
+        let path = file.to_str().unwrap();
+        // Both commands default to the same volleys; the engine is the
+        // file kind's own.
+        let engine = match file.extension().and_then(|e| e.to_str()) {
+            Some("table") => "table",
+            Some("tnn") => "column",
+            _ => "net",
+        };
+        let jsonl = TempFile::with_content(
+            &format!("{}.jsonl", file.file_name().unwrap().to_string_lossy()),
+            &stdout_of(&["trace", path, "--format", "jsonl", "--engine", engine]),
+        );
+        let live = stdout_of(&["inspect", path, "--stats", "--json", "--engine", engine]);
+        let replayed = stdout_of(&[
+            "inspect",
+            path,
+            "--stats",
+            "--json",
+            "--trace",
+            jsonl.to_str(),
+        ]);
+        assert_eq!(replayed, live, "{path}");
+        assert_eq!(
+            stdout_of(&["trace", path, "--format", "stats", "--engine", engine]),
+            stdout_of(&["inspect", path, "--stats", "--engine", engine]),
+            "{path}"
+        );
+    }
+}
+
+#[test]
+fn column_files_with_oversized_weights_are_parse_errors() {
+    for weights in ["2147483647 2147483647", "-2147483648 -2147483648"] {
+        let column = TempFile::with_content(
+            "huge.tnn",
+            &format!(
+                "inhibition wta 1\nresponse ups 0 1 downs 3 5\n\
+                 neuron theta 3 delays 0 1 weights {weights}\n"
+            ),
+        );
+        for (command, code) in [("opt", 2), ("inspect", 2), ("trace", 1)] {
+            let out = bin().args([command, column.to_str()]).output().unwrap();
+            assert_eq!(out.status.code(), Some(code), "{command}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains("line 3: weights too large"),
+                "{command}: {stderr}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -53,6 +53,7 @@ fn committed_documents() -> (Vec<String>, Vec<String>) {
     let lines = vec![
         "BENCH_history.jsonl".to_owned(),
         "crates/obs/tests/golden/events.jsonl".to_owned(),
+        "tests/golden/events_obs1.jsonl".to_owned(),
     ];
     (documents, lines)
 }
@@ -106,6 +107,15 @@ fn the_event_log_round_trips_through_the_trace_reader() {
         events_jsonl_with_dropped(&trace.events, trace.dropped),
         text
     );
+}
+
+/// `events_obs1.jsonl` is the `spacetime-obs/1` rendering of the st-obs
+/// golden fixture, from before `/2` dropped the three wall-clock kinds.
+#[test]
+fn a_spacetime_obs_1_log_reads_as_its_2_rewrite() {
+    let v1 = parse_trace(&read("tests/golden/events_obs1.jsonl")).unwrap();
+    let v2 = parse_trace(&read("crates/obs/tests/golden/events.jsonl")).unwrap();
+    assert_eq!(v1, v2);
 }
 
 #[test]

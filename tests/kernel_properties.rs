@@ -358,10 +358,10 @@ proptest! {
     }
 
     /// The kernel's metered and probed batch entry points return exactly
-    /// the plain outputs; the probe stream has the batch shape (every
-    /// volley timed once, in order; a closing `"eval"` stage) and the
-    /// deterministic `kernel.*` counters are identical at every thread
-    /// count.
+    /// the plain outputs; the probe stream is each volley's marker, then
+    /// (off the SWAR path) its gate firings as `Network::trace` reports
+    /// them; and the deterministic `kernel.*` counters are identical at
+    /// every thread count.
     #[test]
     fn kernel_metered_and_probed_match_plain(
         neuron in arb_neuron(),
@@ -400,19 +400,15 @@ proptest! {
             let mut recorder = Recorder::new();
             let probed = evaluator.eval_instrumented(&artifact, &volleys, &mut recorder, &mut NullMetrics, &mut NullTracer, SpanId::NONE).unwrap();
             prop_assert_eq!(&probed, &plain, "probed, {} threads", threads);
-            let timed: Vec<usize> = recorder
-                .events()
-                .iter()
-                .filter_map(|e| match *e {
-                    ObsEvent::VolleyTimed { index, .. } => Some(index),
-                    _ => None,
-                })
-                .collect();
-            prop_assert_eq!(timed, (0..volleys.len()).collect::<Vec<_>>());
-            prop_assert!(matches!(
-                recorder.events().last(),
-                Some(ObsEvent::StageTiming { stage: "eval", .. })
-            ));
+            let swar = Plan::from_network(&network).lane_capable(&volleys);
+            let mut expected = Vec::new();
+            for (index, volley) in volleys.iter().enumerate() {
+                expected.push(ObsEvent::VolleyStart { index });
+                if !swar {
+                    expected.extend(trace_events(&network, volley.times()));
+                }
+            }
+            prop_assert_eq!(recorder.events(), &expected[..], "probed, {} threads", threads);
         }
     }
 

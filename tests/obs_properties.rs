@@ -76,6 +76,48 @@ fn batch_cases(neuron: &Srm0Neuron, volleys: &[Volley]) -> Vec<BatchCase> {
     ]
 }
 
+/// What a sequential per-volley run of `artifact`'s own engine records
+/// over `volleys`: each volley's `VolleyStart` marker, then the events
+/// its engine records for it (a function table records none). A SWAR
+/// call (`swar`) records the markers alone.
+fn sequential_events(artifact: &CompiledArtifact, volleys: &[Volley], swar: bool) -> Vec<ObsEvent> {
+    let mut recorder = Recorder::new();
+    for (index, volley) in volleys.iter().enumerate() {
+        recorder.begin_volley(index);
+        if swar {
+            continue;
+        }
+        let times = volley.times();
+        match artifact {
+            CompiledArtifact::Table(_) => {}
+            CompiledArtifact::Network(network) => {
+                network
+                    .run_instrumented(times, &mut recorder, &mut NullMetrics)
+                    .unwrap();
+            }
+            CompiledArtifact::Column(column) => {
+                column.eval_instrumented(volley, &mut recorder, &mut NullMetrics);
+            }
+            CompiledArtifact::Grl(netlist) => {
+                GrlSim::new()
+                    .run_instrumented(
+                        netlist,
+                        times,
+                        &mut GrlScratch::default(),
+                        &mut recorder,
+                        &mut NullMetrics,
+                    )
+                    .unwrap();
+            }
+            CompiledArtifact::Kernel(plan) => {
+                plan.eval_instrumented(times, &mut recorder, &mut NullMetrics)
+                    .unwrap();
+            }
+        }
+    }
+    recorder.into_events()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -167,11 +209,13 @@ proptest! {
         prop_assert_eq!(decisions, 1);
     }
 
-    /// The batch engine at 1 and N threads, on every artifact kind and on
-    /// both kernel paths: a live recorder never changes any output
-    /// volley, every volley is timed once in index order, and the chunk
-    /// timings cover the batch in contiguous ranges in worker order —
-    /// packet-aligned on the SWAR path.
+    /// The batch probe contract, on every artifact kind and on both
+    /// kernel paths, at 1 and N threads: a live recorder never changes
+    /// any output volley, and it records exactly what a sequential
+    /// per-volley run of the same engine records, each volley's
+    /// `VolleyStart` marker carrying its index in the batch (markers
+    /// alone on the SWAR path). The same batch with one malformed volley
+    /// appended records nothing.
     #[test]
     fn batch_probed_eval_is_identical_across_thread_counts(
         neuron in arb_neuron(),
@@ -184,9 +228,13 @@ proptest! {
             let plain = BatchEvaluator::with_threads(1)
                 .eval(artifact, volleys)
                 .unwrap();
+            let expected = sequential_events(artifact, volleys, case.swar);
+            let mut bad = volleys.clone();
+            bad.push(Volley::silent(artifact.input_width() + 1));
             for workers in [1, threads] {
+                let evaluator = BatchEvaluator::with_threads(workers);
                 let mut recorder = Recorder::new();
-                let probed = BatchEvaluator::with_threads(workers)
+                let probed = evaluator
                     .eval_instrumented(
                         artifact,
                         volleys,
@@ -197,37 +245,21 @@ proptest! {
                     )
                     .unwrap();
                 prop_assert_eq!(&probed, &plain, "workers = {}", workers);
-                let timed: Vec<usize> = recorder
-                    .events()
-                    .iter()
-                    .filter_map(|e| match *e {
-                        ObsEvent::VolleyTimed { index, .. } => Some(index),
-                        _ => None,
-                    })
-                    .collect();
-                prop_assert_eq!(timed, (0..volleys.len()).collect::<Vec<_>>());
-                let chunks: Vec<(usize, usize, usize)> = recorder
-                    .events()
-                    .iter()
-                    .filter_map(|e| match *e {
-                        ObsEvent::ChunkTiming { worker, start, len, .. } => {
-                            Some((worker, start, len))
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                let mut next = 0;
-                for (position, &(worker, start, len)) in chunks.iter().enumerate() {
-                    prop_assert_eq!(worker, position, "workers = {}", workers);
-                    prop_assert_eq!(start, next, "workers = {}", workers);
-                    let last = position + 1 == chunks.len();
-                    prop_assert!(
-                        !case.swar || last || len % lane::LANES == 0,
-                        "workers = {}: SWAR chunk of {} volleys", workers, len
-                    );
-                    next = start + len;
-                }
-                prop_assert_eq!(next, volleys.len(), "workers = {}", workers);
+                prop_assert_eq!(recorder.events(), &expected[..], "workers = {}", workers);
+
+                let mut recorder = Recorder::new();
+                let error = evaluator
+                    .eval_instrumented(
+                        artifact,
+                        &bad,
+                        &mut recorder,
+                        &mut NullMetrics,
+                        &mut NullTracer,
+                        SpanId::NONE,
+                    )
+                    .unwrap_err();
+                prop_assert_eq!(error.index, volleys.len(), "workers = {}", workers);
+                prop_assert!(recorder.is_empty(), "workers = {}", workers);
             }
         }
     }
