@@ -238,7 +238,7 @@ fn software_throughput() {
             }),
             Box::new(|vs: &[Volley]| {
                 // Hoisted: the flattened plan, still one volley at a time —
-                // the batch columns add the 8-lane SWAR packets on top.
+                // the batch columns add the 8-lane byte-block packets on top.
                 for v in vs {
                     std::hint::black_box(plan.eval(v.times()).unwrap());
                 }
@@ -288,7 +288,7 @@ fn software_throughput() {
          quoted speedup is batch-best over the *hoisted* sequential loop, \
          so it reflects parallel evaluation only. Extra workers stack \
          roughly linearly on multi-core hosts. The kernel row's batch \
-         columns additionally pack 8 volleys per 64-bit word (SWAR), so \
-         its speedup exceeds the worker count."
+         columns additionally pack 8 volleys per eight-lane byte block, \
+         so its speedup exceeds the worker count."
     );
 }

@@ -23,7 +23,7 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`time`] | the domain: [`Time`] with `∞`, order, and arithmetic |
-//! | [`lane`] | u8 lane packing and branch-free SWAR primitives |
+//! | [`lane`] | the u8 lane encoding behind packed batch evaluation |
 //! | [`ops`] | the primitives and derived operations as free functions |
 //! | [`lattice`] | executable statements of the lattice laws |
 //! | [`function`] | the [`SpaceTimeFunction`] trait and property checkers |

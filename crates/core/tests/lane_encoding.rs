@@ -1,11 +1,10 @@
-//! Exhaustive checks of the u8 lane encoding and the SWAR primitives.
+//! Exhaustive checks of the u8 lane encoding.
 //!
 //! The lane path is only sound if the byte encoding is an order
-//! isomorphism and every SWAR op agrees with the scalar [`Time`] op on
-//! every representable pair — so these tests enumerate, rather than
-//! sample: all 256 encodable times for the round trip, and all
-//! 256 × 256 byte pairs (swept through every lane position, with
-//! varying neighbor lanes) for `min`/`max`/`lt`/`inc`.
+//! isomorphism, so these tests enumerate, rather than sample: all 256
+//! encodable times for the round trip, and all 256 × 256 pairs for the
+//! order. (`st-kernel` checks its byte ops against the scalar [`Time`]
+//! ops on every byte pair through this encoding.)
 
 use st_core::lane;
 use st_core::Time;
@@ -31,148 +30,11 @@ fn encode_round_trips_every_encodable_time() {
 #[test]
 fn encoding_is_an_order_isomorphism() {
     // Scalar `Time` order and unsigned byte order agree on every pair —
-    // the single fact the whole SWAR path rests on.
+    // the single fact the whole lane path rests on.
     for a in encodable_times() {
         for b in encodable_times() {
             let (ea, eb) = (lane::encode(a).unwrap(), lane::encode(b).unwrap());
             assert_eq!(a < b, ea < eb, "order of {a} vs {b}");
         }
     }
-}
-
-#[test]
-fn pack_unpack_round_trips_every_width() {
-    for width in 0..=lane::LANES {
-        let times: Vec<Time> = (0..width)
-            .map(|i| {
-                if i % 3 == 2 {
-                    Time::INFINITY
-                } else {
-                    Time::finite(37 * i as u64 % 255)
-                }
-            })
-            .collect();
-        let word = lane::pack(&times).unwrap();
-        let back = lane::unpack(word);
-        for (i, lane_time) in back.iter().enumerate() {
-            let expected = times.get(i).copied().unwrap_or(Time::INFINITY);
-            assert_eq!(*lane_time, expected, "width {width}, lane {i}");
-        }
-    }
-}
-
-/// Scalar models of the four ops on lane bytes, via the encoding.
-fn scalar_min(a: u8, b: u8) -> u8 {
-    lane::encode(lane::decode(a).meet(lane::decode(b))).unwrap()
-}
-fn scalar_max(a: u8, b: u8) -> u8 {
-    lane::encode(lane::decode(a).join(lane::decode(b))).unwrap()
-}
-fn scalar_lt(a: u8, b: u8) -> u8 {
-    lane::encode(lane::decode(a).lt_gate(lane::decode(b))).unwrap()
-}
-fn scalar_inc(a: u8, delta: u8) -> u8 {
-    // The lane op saturates to ∞ once the sum leaves the byte domain.
-    if a == lane::INF {
-        lane::INF
-    } else {
-        let sum = u16::from(a) + u16::from(delta);
-        u8::try_from(sum).unwrap_or(lane::INF)
-    }
-}
-
-/// Builds a word with `target` in lane `pos` and deterministic noise
-/// elsewhere, so every pairwise check also exercises cross-lane
-/// independence (carries/borrows must never leak between lanes).
-fn word_with(target: u8, pos: usize, salt: u8) -> u64 {
-    let mut word = 0u64;
-    for lane_index in 0..lane::LANES {
-        let byte = if lane_index == pos {
-            target
-        } else {
-            (salt ^ (lane_index as u8).wrapping_mul(0x3B)).wrapping_add(target)
-        };
-        word |= u64::from(byte) << (8 * lane_index);
-    }
-    word
-}
-
-#[test]
-fn swar_min_max_lt_agree_with_scalar_on_all_byte_pairs() {
-    for a in 0..=255u8 {
-        for b in 0..=255u8 {
-            for pos in [0, 3, 7] {
-                let x = word_with(a, pos, b.rotate_left(3));
-                let y = word_with(b, pos, a.rotate_left(5));
-                let (min, max, lt) = (lane::min(x, y), lane::max(x, y), lane::lt_gate(x, y));
-                // Every lane — the target pair and the noise pairs alike —
-                // must match its own scalar model.
-                for i in 0..lane::LANES {
-                    let (xa, yb) = (lane::get(x, i), lane::get(y, i));
-                    assert_eq!(lane::get(min, i), scalar_min(xa, yb), "min {xa} {yb}");
-                    assert_eq!(lane::get(max, i), scalar_max(xa, yb), "max {xa} {yb}");
-                    assert_eq!(lane::get(lt, i), scalar_lt(xa, yb), "lt {xa} {yb}");
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn swar_inc_agrees_with_scalar_on_all_byte_pairs() {
-    for a in 0..=255u8 {
-        for delta in 0..=255u8 {
-            let x = word_with(a, 2, delta.rotate_left(1));
-            let got = lane::inc(x, delta);
-            for i in 0..lane::LANES {
-                let xa = lane::get(x, i);
-                assert_eq!(
-                    lane::get(got, i),
-                    scalar_inc(xa, delta),
-                    "inc {xa} + {delta}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn swar_ops_agree_with_time_ops_on_boundary_pairs() {
-    // The ISSUE's named boundary set, checked against the *scalar Time*
-    // operations directly (not the byte models above): 0, 1, 254, ∞.
-    let boundary = [
-        Time::finite(0),
-        Time::finite(1),
-        Time::finite(254),
-        Time::INFINITY,
-    ];
-    for &a in &boundary {
-        for &b in &boundary {
-            let x = lane::broadcast(lane::encode(a).unwrap());
-            let y = lane::broadcast(lane::encode(b).unwrap());
-            assert_eq!(lane::unpack(lane::min(x, y))[0], a.meet(b), "{a} ∧ {b}");
-            assert_eq!(lane::unpack(lane::max(x, y))[0], a.join(b), "{a} ∨ {b}");
-            assert_eq!(
-                lane::unpack(lane::lt_gate(x, y))[0],
-                a.lt_gate(b),
-                "{a} ≺ {b}"
-            );
-        }
-        // inc against scalar Time on deltas that stay in the lane domain,
-        // plus the saturating edge where the domains part ways.
-        for delta in [0u8, 1, 253] {
-            let expected = a.inc(u64::from(delta));
-            let got = lane::unpack(lane::inc(lane::broadcast(lane::encode(a).unwrap()), delta))[0];
-            if lane::encode(expected).is_some() {
-                assert_eq!(got, expected, "{a} + {delta}");
-            } else {
-                assert_eq!(got, Time::INFINITY, "{a} + {delta} saturates to ∞");
-            }
-        }
-    }
-    // 254 + 1 is exactly the scalar/lane divergence point: scalar keeps
-    // counting, the lane domain saturates to ∞.
-    assert_eq!(Time::finite(254).inc(1), Time::finite(255));
-    let sat = lane::inc(lane::broadcast(0xFE), 1);
-    assert_eq!(sat, lane::ALL_INF);
 }

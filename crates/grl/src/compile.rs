@@ -21,27 +21,54 @@ use st_net::{GateKind, Network};
 
 use crate::netlist::{GrlBuilder, GrlNetlist, WireId};
 
+/// The most flip-flop stages one netlist may hold: an `inc c` gate is a
+/// `c`-stage shift register, so a network whose delays sum past this is
+/// refused rather than built one stage at a time. The shipped examples,
+/// the test suites and the experiment binaries build at most 6 144
+/// stages per netlist (`exp24_throughput`).
+pub const MAX_DELAY_STAGES: u64 = 1 << 16;
+
 /// Why a network could not be lowered to CMOS.
-///
-/// `GateKind` is `#[non_exhaustive]`, so a future algebraic gate can
-/// reach the compiler before anyone has written its CMOS mapping; the
-/// error names the offending gate instead of crashing the caller.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GrlCompileError {
-    /// Index of the gate with no CMOS realization.
+    /// Index of the gate that could not be lowered.
     pub gate: usize,
-    /// Debug rendering of the unsupported gate kind.
-    pub kind: String,
+    /// What stopped it.
+    pub reason: GrlCompileReason,
+}
+
+/// What stopped a gate's lowering.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum GrlCompileReason {
+    /// The gate kind has no CMOS mapping (its debug rendering).
+    /// `GateKind` is `#[non_exhaustive]`, so a future algebraic gate can
+    /// reach the compiler before anyone has written its mapping.
+    Unsupported(String),
+    /// The gate's shift register would take the netlist to `stages`
+    /// flip-flop stages, past [`MAX_DELAY_STAGES`].
+    DelayTooLong {
+        /// The netlist's stages with this gate's, saturating.
+        stages: u64,
+    },
 }
 
 impl std::fmt::Display for GrlCompileError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "gate g{} has no GRL mapping (unsupported kind {}); \
-             the § V.C table covers min/max/lt/inc/const only",
-            self.gate, self.kind
-        )
+        match &self.reason {
+            GrlCompileReason::Unsupported(kind) => write!(
+                f,
+                "gate g{} has no GRL mapping (unsupported kind {kind}); \
+                 the § V.C table covers min/max/lt/inc/const only",
+                self.gate
+            ),
+            GrlCompileReason::DelayTooLong { stages } => write!(
+                f,
+                "gate g{} delays too long for a GRL netlist: its shift \
+                 register would take the netlist to {stages} flip-flop \
+                 stages, past the limit of {MAX_DELAY_STAGES}",
+                self.gate
+            ),
+        }
     }
 }
 
@@ -74,9 +101,9 @@ impl std::error::Error for GrlCompileError {}
 /// ```
 /// # Panics
 ///
-/// Panics if the network contains a gate kind with no CMOS mapping (see
-/// [`try_compile_network`] for the fallible form). Every kind `st-net`
-/// can build today compiles, so in-workspace callers never hit this.
+/// Panics where [`try_compile_network`], the fallible form, returns an
+/// error: on a gate kind with no CMOS mapping (every kind `st-net` can
+/// build today has one) or on delays summing past [`MAX_DELAY_STAGES`].
 #[must_use]
 pub fn compile_network(network: &Network) -> GrlNetlist {
     match try_compile_network(network) {
@@ -85,15 +112,17 @@ pub fn compile_network(network: &Network) -> GrlNetlist {
     }
 }
 
-/// Fallible [`compile_network`]: an unsupported gate kind comes back as
-/// a [`GrlCompileError`] naming the gate instead of a panic.
+/// Fallible [`compile_network`]: a gate that cannot be lowered comes
+/// back as a [`GrlCompileError`] naming it instead of a panic.
 ///
 /// # Errors
 ///
 /// [`GrlCompileError`] when a gate has no entry in the § V.C mapping
-/// table.
+/// table, or when the flip-flop stages of the delays so far would pass
+/// [`MAX_DELAY_STAGES`]; nothing past the limit is built.
 pub fn try_compile_network(network: &Network) -> Result<GrlNetlist, GrlCompileError> {
     let mut b = GrlBuilder::new();
+    let mut stages = 0u64;
     let mut wires: Vec<WireId> = Vec::with_capacity(network.gate_count());
     for (id, kind) in network.iter_gates() {
         let sources = network.sources(id).expect("id from iter_gates");
@@ -107,13 +136,22 @@ pub fn try_compile_network(network: &Network) -> Result<GrlNetlist, GrlCompileEr
             GateKind::Min => b.and_all(&srcs),
             GateKind::Max => b.or_all(&srcs),
             GateKind::Lt => b.lt(srcs[0], srcs[1]),
-            GateKind::Inc(c) => b.shift_register(srcs[0], c),
+            GateKind::Inc(c) => {
+                stages = stages.saturating_add(c);
+                if stages > MAX_DELAY_STAGES {
+                    return Err(GrlCompileError {
+                        gate: id.index(),
+                        reason: GrlCompileReason::DelayTooLong { stages },
+                    });
+                }
+                b.shift_register(srcs[0], c)
+            }
             // GateKind is #[non_exhaustive]; any future algebraic gate
             // needs an explicit CMOS mapping here.
             other => {
                 return Err(GrlCompileError {
                     gate: id.index(),
-                    kind: format!("{other:?}"),
+                    reason: GrlCompileReason::Unsupported(format!("{other:?}")),
                 })
             }
         };
@@ -237,10 +275,35 @@ mod tests {
         assert!(crate::compile::try_compile_network(&net).is_ok());
         let e = crate::compile::GrlCompileError {
             gate: 7,
-            kind: "Widget".to_owned(),
+            reason: GrlCompileReason::Unsupported("Widget".to_owned()),
         };
         assert!(e.to_string().contains("g7"), "{e}");
         assert!(e.to_string().contains("Widget"), "{e}");
+    }
+
+    /// Delays are refused at the gate whose stages pass the limit, with
+    /// nothing past it built: a chain exactly at the limit compiles.
+    #[test]
+    fn delays_past_the_stage_limit_are_refused() {
+        let mut b = NetworkBuilder::new();
+        let x = b.input();
+        let half = b.inc(x, MAX_DELAY_STAGES / 2);
+        let full = b.inc(half, MAX_DELAY_STAGES / 2);
+        let at_limit = b.build([full]);
+        assert!(try_compile_network(&at_limit).is_ok());
+
+        let mut b = NetworkBuilder::new();
+        let x = b.input();
+        let one = b.inc(x, 1);
+        let huge = b.inc(one, u64::MAX);
+        let e = try_compile_network(&b.build([huge])).unwrap_err();
+        assert_eq!(e.gate, 2);
+        assert_eq!(
+            e.reason,
+            GrlCompileReason::DelayTooLong { stages: u64::MAX }
+        );
+        assert!(e.to_string().contains("too long"), "{e}");
+        assert!(!e.to_string().contains("no GRL mapping"), "{e}");
     }
 
     #[test]

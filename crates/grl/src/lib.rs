@@ -47,7 +47,9 @@ pub mod sim;
 pub mod vcd;
 
 pub use alignment::{edit_distance_race, edit_distance_reference};
-pub use compile::{compile_network, try_compile_network, GrlCompileError};
+pub use compile::{
+    compile_network, try_compile_network, GrlCompileError, GrlCompileReason, MAX_DELAY_STAGES,
+};
 pub use energy::{
     binary_baseline_transitions, estimate_energy, measure_energy, EnergyBreakdown, EnergyModel,
     EnergyStats,

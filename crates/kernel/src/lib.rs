@@ -1,4 +1,4 @@
-//! # st-kernel — flattened SWAR volley kernels
+//! # st-kernel — flattened lane-block volley kernels
 //!
 //! The raw-speed engine for the space-time algebra: a gate network (or a
 //! race-logic netlist) is compiled **once** into a flattened
@@ -6,13 +6,11 @@
 //! operands resolved, only merges of three or more sources in a fan-in
 //! arena — and volleys are then
 //! evaluated **up to [`MAX_PACKET`] (256) at a time**, each input line's
-//! spike times packed one per u8 lane (see [`st_core::lane`]): eight to a
-//! `u64` word for the batch engine's packets of up to eight, one per byte
-//! of a [`ByteBlock`] past that. The four primitives `min`/`max`/`lt`/`inc`
-//! become a handful of branch-free SWAR instructions per word, or one
-//! plain byte op per lane that the compiler vectorizes, and an
-//! ∞-dominance early-out skips any gate whose fan-in is all-silent
-//! across the whole packet.
+//! spike times packed one per byte lane (see [`st_core::lane`]): an
+//! eight-lane block for the batch engine's packets of up to eight, a
+//! [`ByteBlock`] past that. The four primitives `min`/`max`/`lt`/`inc`
+//! become one plain byte op per lane, which the compiler vectorizes, so
+//! every gate of a packet costs the same whatever its volleys hold.
 //!
 //! Correctness rides on two facts, both pinned by exhaustive and
 //! differential tests:
@@ -57,9 +55,8 @@
 // are exempt via clippy.toml).
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-pub mod graphopt;
 pub mod packet;
 pub mod plan;
 
-pub use packet::{ByteBlock, PacketStats, Scratch, MAX_PACKET};
+pub use packet::{ByteBlock, Scratch, MAX_PACKET};
 pub use plan::Plan;

@@ -9,8 +9,6 @@ use st_net::{GateKind, Network};
 use st_obs::{ObsEvent, Probe};
 use st_trace::{SpanId, Tracer};
 
-use crate::graphopt;
-
 /// One gate of a plan, its operands resolved at build time: source
 /// gates by plan index, a constant or delay by its side-table index.
 ///
@@ -130,18 +128,14 @@ impl Plan {
     /// `lt` latch computes `≺`, a flip-flop stage is `+1`, a tied-high
     /// wire is `∞`, and a configuration fall is a finite constant.
     ///
-    /// Flip-flop **delay chains are fused** by the lint-graph rewrites in
-    /// [`crate::graphopt`] (`fuse_delay_chains` followed by
-    /// `sweep_unreachable`): a `Delay` whose source
-    /// is itself a delay is emitted as one `Inc` with the summed delay,
-    /// and the dead intermediate stages never reach the plan, so an
-    /// `N`-cycle chain costs one gate instead of `N`.
+    /// Flip-flop **delay chains are fused** as the netlist's lint graph
+    /// is flattened: a `Delay` whose source is itself a delay is emitted
+    /// as one `Inc` of the chain's root with the summed delay, and the
+    /// plan's [live cone](Plan::live_cone) drops the stranded stages, so
+    /// an `N`-cycle chain costs one gate instead of `N`.
     #[must_use]
     pub fn from_grl(netlist: &GrlNetlist) -> Plan {
-        let graph = st_grl::lint::to_lint_graph(netlist);
-        let (fused, _) = graphopt::fuse_delay_chains(&graph);
-        let (swept, _) = graphopt::sweep_unreachable(&fused);
-        Plan::from_lint_graph(&swept)
+        Plan::from_lint_graph(&st_grl::lint::to_lint_graph(netlist)).live_cone()
     }
 
     /// [`Plan::from_grl`] under a `plan.build` span; see
@@ -156,21 +150,34 @@ impl Plan {
         Plan::from_grl(netlist)
     }
 
-    /// Flattens a lint-IR graph (already in definition-before-use order,
-    /// as the [`crate::graphopt`] rewrites guarantee) into a plan.
+    /// Flattens a lint-IR graph (in definition-before-use order, as
+    /// `to_lint_graph` emits it) into a plan, one step per node, fusing
+    /// `inc`-of-`inc` as it goes: an `inc` whose source is an `inc` reads
+    /// that chain's root with the saturating sum of the delays.
     fn from_lint_graph(graph: &LintGraph) -> Plan {
         let mut b = Builder::new(graph.input_count(), graph.len());
+        // Per node: its chain root and total delay, if it is an `inc`.
+        let mut chains: Vec<Option<(u32, u64)>> = Vec::with_capacity(graph.len());
         for node in graph.nodes() {
             let src = |i: usize| index(node.sources[i]);
             let all = node.sources.iter().map(|&s| index(s));
+            let mut chain = None;
             match node.op {
                 LintOp::Input(n) => b.steps.push(Step::Input(index(n))),
                 LintOp::Const(t) => b.constant(t),
                 LintOp::Min => b.merge(Step::Min, Step::MinN, all),
                 LintOp::Max => b.merge(Step::Max, Step::MaxN, all),
                 LintOp::Lt => b.steps.push(Step::Lt(src(0), src(1))),
-                LintOp::Inc(d) => b.inc(src(0), d),
+                LintOp::Inc(d) => {
+                    let (root, total) = match chains[node.sources[0]] {
+                        Some((root, total)) => (root, total.saturating_add(d)),
+                        None => (src(0), d),
+                    };
+                    b.inc(root, total);
+                    chain = Some((root, total));
+                }
             }
+            chains.push(chain);
         }
         b.finish(graph.outputs().iter().map(|&o| index(o)))
     }
@@ -245,7 +252,8 @@ impl Plan {
     /// input paths; constants start `const_bound` chains). The limit is
     /// the largest `W` keeping every live gate (one with a path to an
     /// output) `≤` [`lane::MAX_FINITE`], so within it no output ever
-    /// saturates and SWAR equals scalar exactly. Dead gates do not count:
+    /// saturates and the lanes equal the scalar path exactly. Dead gates
+    /// do not count:
     /// their lanes saturate, and no output reads them.
     #[must_use]
     pub fn lane_input_limit(&self) -> Option<u64> {
@@ -587,10 +595,10 @@ mod tests {
         vec![("chain", chain), ("mixed", mixed), ("sorter", sorter)]
     }
 
-    /// Regression pin for the delay-fusion refactor: `from_grl` now
-    /// lowers through the shared [`crate::graphopt`] fusion pass, and
-    /// these dumps were captured from the pre-refactor builder-local
-    /// fusion — the two paths must produce byte-identical plans.
+    /// Regression pin for the delay-fusion refactors: these dumps were
+    /// captured from `from_grl`'s first, builder-local fusion, and every
+    /// later lowering (today: fusion while flattening, then the live
+    /// cone) must produce byte-identical plans.
     #[test]
     fn from_grl_plans_are_pinned_across_the_fusion_refactor() {
         let expected = [
@@ -775,19 +783,45 @@ mod tests {
         }
     }
 
+    /// A GRL delay chain plans as one `inc` of its root: stranded stages,
+    /// dead branches and an unread input line go, while the declared
+    /// input width stays.
     #[test]
     fn grl_plan_fuses_delay_chains() {
         let mut b = NetworkBuilder::new();
-        let input = b.input();
-        let d = b.inc(input, 9);
-        let network = b.build([d]);
+        let ins = b.inputs(2);
+        let d1 = b.inc(ins[0], 1);
+        let d2 = b.inc(d1, 2);
+        let d3 = b.inc(d2, 6);
+        let _dead = b.min2(ins[0], d1);
+        let network = b.build([d3]);
         let netlist = st_grl::compile_network(&network);
         // The netlist spells the +9 as nine flip-flop stages…
         assert!(netlist.wire_count() > 9);
         let plan = Plan::from_grl(&netlist);
         // …the plan fuses them into one Inc and sweeps the rest.
-        assert_eq!(plan.gate_count(), 2);
-        assert_eq!(plan.eval(&[t(5)]).unwrap(), vec![t(14)]);
-        assert_eq!(plan.eval(&[Time::INFINITY]).unwrap(), vec![Time::INFINITY]);
+        assert_eq!(plan.input_count(), 2, "declared width is kept");
+        assert_eq!(dump(&plan), "g0: input line 0 []\ng1: inc +9 [g0]\n-> g1\n");
+        assert_eq!(plan.eval(&[t(5), t(0)]).unwrap(), vec![t(14)]);
+        assert_eq!(
+            plan.eval(&[Time::INFINITY, t(0)]).unwrap(),
+            vec![Time::INFINITY]
+        );
+    }
+
+    /// Chained delays sum saturating, so a chain past `u64::MAX` stays
+    /// at `u64::MAX` rather than wrapping.
+    #[test]
+    fn fused_delay_sums_saturate() {
+        let mut g = LintGraph::new(1);
+        let a = g.push(LintOp::Input(0), vec![]);
+        let d1 = g.push(LintOp::Inc(u64::MAX - 1), vec![a]);
+        let d2 = g.push(LintOp::Inc(5), vec![d1]);
+        g.set_outputs(vec![d2]);
+        let plan = Plan::from_lint_graph(&g).live_cone();
+        assert_eq!(
+            dump(&plan),
+            format!("g0: input line 0 []\ng1: inc +{} [g0]\n-> g1\n", u64::MAX)
+        );
     }
 }

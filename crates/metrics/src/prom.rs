@@ -56,9 +56,8 @@ pub fn prom_help(name: &str) -> Option<&'static str> {
         "stdp.rescues" => "rescue updates that changed at least one weight",
         "batch.volleys" => "volleys evaluated (successful batches only)",
         "batch.chunks" => "worker chunks processed (varies with thread count)",
-        "kernel.packets" => "SWAR packets evaluated by the kernel engine",
-        "kernel.gates_swar" => "gate evaluations taken on the SWAR path",
-        "kernel.gates_skipped" => "gate evaluations skipped as all-silent",
+        "kernel.packets" => "lane packets evaluated by the kernel engine",
+        "kernel.gates_swar" => "gate evaluations on lane packets (packets x plan steps)",
         _ => return None,
     })
 }

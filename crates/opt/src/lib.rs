@@ -14,9 +14,9 @@
 //! * **[`passes`]** — rewrite passes driven by those facts: interval
 //!   constant folding, zone-domain relational folding, dead-gate
 //!   elimination, hash-consed subexpression sharing, delay-chain fusion
-//!   (the lint-graph form `st-kernel` lowers GRL through lives in
-//!   `st_kernel::graphopt`), and Theorem-1 minterm minimization for
-//!   tables.
+//!   (`st_kernel::Plan::from_grl` fuses a GRL netlist's flip-flop chains
+//!   the same way as it flattens them), and Theorem-1 minterm
+//!   minimization for tables.
 //! * **[`manager`]** — the verified pipeline: every pass's candidate is
 //!   gated behind `st-verify` bounded equivalence before it is
 //!   committed, so an unsound rewrite is *rejected with a minimal

@@ -37,7 +37,7 @@
 //! | `plan.build` | `st-kernel` plan construction |
 //! | `batch.eval` | one batch dispatch (the volley stage) |
 //! | `batch.chunk` | one worker's contiguous chunk |
-//! | `kernel.packet` | one 8-volley SWAR packet |
+//! | `kernel.packet` | one 8-volley lane packet |
 //!
 //! # Example
 //!

@@ -41,7 +41,7 @@ pub use st_lint::interval;
 pub use st_lint::{Code, Diagnostic, Interval, Location, Report, Severity};
 
 use st_core::FunctionTable;
-use st_grl::try_compile_network;
+use st_grl::{try_compile_network, GrlCompileReason};
 use st_net::synth::{synthesize, SynthesisOptions};
 use st_net::Network;
 use st_tnn::Column;
@@ -308,8 +308,8 @@ pub fn verify_artifact(
                 &mut outcome,
             )?;
         }
-        // A gate with no CMOS mapping is itself a lowering failure; the
-        // remaining checks still run.
+        // A gate that cannot be lowered is itself a lowering failure;
+        // the remaining checks still run.
         Err(e) => outcome.report.push(
             Diagnostic::new(
                 Code::LoweringMismatch,
@@ -317,7 +317,14 @@ pub fn verify_artifact(
                 Location::Gate(e.gate),
                 format!("the GRL lowering does not exist: {e}"),
             )
-            .with_hint("restrict the artifact to min/max/lt/inc/const gates (§ V.C)"),
+            .with_hint(match e.reason {
+                GrlCompileReason::Unsupported(_) => {
+                    "restrict the artifact to min/max/lt/inc/const gates (§ V.C)"
+                }
+                GrlCompileReason::DelayTooLong { .. } => {
+                    "shorten the delays: each tick of an inc is one flip-flop stage"
+                }
+            }),
         ),
     }
 

@@ -10,15 +10,16 @@
 //!
 //! [`CompiledArtifact`] is the compile-once half: one enum over the five
 //! evaluable forms (normalized function table, gate network, SRM0/WTA
-//! column, GRL netlist, flattened SWAR kernel plan), each stored in its
+//! column, GRL netlist, flattened kernel plan), each stored in its
 //! pre-indexed representation.
 //! [`BatchEvaluator`] is the evaluate-many half: it splits a volley batch
 //! into contiguous chunks of whole units and runs every chunk through one
-//! chunk runner. The unit is an eight-volley SWAR packet when the artifact
-//! is a kernel plan and every volley fits its lanes, and one volley
-//! otherwise. A lone chunk runs inline on the calling thread; otherwise
-//! each chunk gets its own scoped worker (`std::thread::scope`, no
-//! dependencies), joined in worker order. One merge then replays every
+//! chunk runner. The unit is an eight-volley lane packet, which the
+//! kernel walks as eight-lane byte blocks, when the artifact is a kernel
+//! plan and every volley fits its lanes, and one volley otherwise. A lone
+//! chunk runs inline on the calling thread; otherwise each chunk gets its
+//! own scoped worker (`std::thread::scope`, no dependencies), joined in
+//! worker order. One merge then replays every
 //! chunk's buffered probe events and metrics, which arrive in index
 //! order. Durations are recorded only as `st-trace` spans.
 //!
@@ -49,7 +50,7 @@ use std::fmt;
 
 use st_core::{lane, CompiledTable, CoreError, FunctionTable, Volley};
 use st_grl::{compile_network, GrlNetlist, GrlScratch, GrlSim};
-use st_kernel::{PacketStats, Plan, Scratch};
+use st_kernel::{Plan, Scratch};
 use st_metrics::{MetricSink, MetricsRegistry, NullMetrics};
 use st_net::{CompiledNetwork, EventSim, Network};
 use st_obs::{NullProbe, Probe, Recorder};
@@ -73,9 +74,9 @@ pub enum CompiledArtifact {
     Column(Column),
     /// A race-logic netlist, cycle-accurately simulated ([`GrlSim`]).
     Grl(GrlNetlist),
-    /// A flattened SWAR execution plan ([`Plan`]). Batches whose inputs
-    /// fit the plan's lane bound take the eight-volleys-per-packet SWAR
-    /// path; everything else falls back to the bit-identical scalar
+    /// A flattened execution plan ([`Plan`]). Batches whose inputs fit
+    /// the plan's lane bound take the lane path, eight volleys per
+    /// packet; everything else falls back to the bit-identical scalar
     /// plan evaluator.
     Kernel(Plan),
 }
@@ -98,7 +99,8 @@ impl CompiledArtifact {
     ///
     /// # Panics
     ///
-    /// Panics on a gate kind with no CMOS mapping; use
+    /// Panics on a gate kind with no CMOS mapping or on delays past
+    /// [`st_grl::MAX_DELAY_STAGES`]; use
     /// [`CompiledArtifact::try_from_grl_network`] when the network comes
     /// from outside the workspace builders.
     #[must_use]
@@ -106,27 +108,27 @@ impl CompiledArtifact {
         CompiledArtifact::Grl(compile_network(network))
     }
 
-    /// Fallible [`CompiledArtifact::from_grl_network`]: an unsupported
-    /// gate kind comes back as an error naming the gate.
+    /// Fallible [`CompiledArtifact::from_grl_network`]: a gate that
+    /// cannot be lowered comes back as an error naming it.
     ///
     /// # Errors
     ///
     /// The rendered [`st_grl::GrlCompileError`] when a gate has no CMOS
-    /// mapping.
+    /// mapping or the delays pass [`st_grl::MAX_DELAY_STAGES`].
     pub fn try_from_grl_network(network: &Network) -> Result<CompiledArtifact, String> {
         st_grl::try_compile_network(network)
             .map(CompiledArtifact::Grl)
             .map_err(|e| e.to_string())
     }
 
-    /// Flattens a network into a SWAR execution plan (see
+    /// Flattens a network into a kernel execution plan (see
     /// [`Plan::from_network`]).
     #[must_use]
     pub fn from_kernel_network(network: &Network) -> CompiledArtifact {
         CompiledArtifact::Kernel(Plan::from_network(network))
     }
 
-    /// Flattens a race-logic netlist into a SWAR execution plan (see
+    /// Flattens a race-logic netlist into a kernel execution plan (see
     /// [`Plan::from_grl`]).
     #[must_use]
     pub fn from_kernel_grl(netlist: &GrlNetlist) -> CompiledArtifact {
@@ -158,7 +160,7 @@ impl CompiledArtifact {
     }
 
     /// Evaluates one volley sequentially — the batch engine's unit of
-    /// work on every call that does not take SWAR packets.
+    /// work on every call that does not take lane packets.
     ///
     /// # Errors
     ///
@@ -311,7 +313,7 @@ impl BatchEvaluator {
     /// Evaluates every volley against the artifact, preserving order.
     ///
     /// Spawns at most one scoped worker per thread and per unit (an
-    /// eight-volley packet on the SWAR path, one volley otherwise); a
+    /// eight-volley packet on the lane path, one volley otherwise); a
     /// single-thread evaluator, or a batch of one unit, runs inline
     /// without spawning.
     ///
@@ -344,14 +346,15 @@ impl BatchEvaluator {
     /// - **probe:** per volley, in index order, one
     ///   [`ObsEvent::VolleyStart`] marker carrying the volley's index in
     ///   the batch, then the events that volley's engine records (via
-    ///   [`CompiledArtifact::eval_one_instrumented`]). A SWAR packet
+    ///   [`CompiledArtifact::eval_one_instrumented`]). A lane packet
     ///   records only its volleys' markers: the lane walk evaluates
     ///   eight volleys per gate at once and has no per-gate events.
-    /// - **sink:** the per-volley engine counters or, on the SWAR path,
-    ///   the `kernel.packets`/`kernel.gates_swar`/`kernel.gates_skipped`
-    ///   counters; plus the `batch.volleys`/`batch.chunks` counters.
-    ///   Engine counters are identical for every thread count.
-    /// - **tracer:** one `batch.chunk` span per chunk and, on the SWAR
+    /// - **sink:** the per-volley engine counters or, on the lane path,
+    ///   `kernel.packets` and `kernel.gates_swar` (packets × the plan's
+    ///   [`Plan::gate_count`]: every packet walks every step once); plus
+    ///   the `batch.volleys`/`batch.chunks` counters. Engine counters are
+    ///   identical for every thread count.
+    /// - **tracer:** one `batch.chunk` span per chunk and, on the lane
     ///   path, one `kernel.packet` span per packet under its chunk, all
     ///   parented to `parent`: the dispatching stage span, whose id
     ///   crosses the `std::thread::scope` boundary explicitly. A lone
@@ -379,7 +382,7 @@ impl BatchEvaluator {
         tracer: &mut T,
         parent: SpanId,
     ) -> Result<Vec<Volley>, BatchError> {
-        // The whole call takes SWAR packets when every volley fits the
+        // The whole call takes lane packets when every volley fits the
         // plan's lanes; otherwise it runs one volley at a time, and the
         // scalar plan evaluator (bit-identical at full u64 precision)
         // reports the lowest failing index like every other engine.
@@ -453,10 +456,10 @@ impl BatchEvaluator {
             if let Some(registry) = &chunk.registry {
                 sink.absorb(registry);
             }
-            if job.metered && job.packets.is_some() {
-                sink.incr("kernel.packets", chunk.len.div_ceil(lane::LANES) as u64);
-                sink.incr("kernel.gates_swar", chunk.stats.gates_swar);
-                sink.incr("kernel.gates_skipped", chunk.stats.gates_skipped);
+            if let Some(plan) = job.packets.filter(|_| job.metered) {
+                let packets = chunk.len.div_ceil(lane::LANES) as u64;
+                sink.incr("kernel.packets", packets);
+                sink.incr("kernel.gates_swar", packets * plan.gate_count() as u64);
             }
             for event in chunk.events.into_iter().flat_map(Recorder::into_events) {
                 probe.record(event);
@@ -470,7 +473,7 @@ impl BatchEvaluator {
 /// shares.
 struct Job<'a> {
     artifact: &'a CompiledArtifact,
-    /// The kernel plan, when the call takes SWAR packets.
+    /// The kernel plan, when the call takes lane packets.
     packets: Option<&'a Plan>,
     /// Whether the probe is enabled, so chunks buffer events.
     probed: bool,
@@ -482,8 +485,6 @@ struct Job<'a> {
 /// What one chunk hands back to the merge.
 struct Chunk {
     len: usize,
-    /// The packet walk's gate counts (zero off the SWAR path).
-    stats: PacketStats,
     /// The chunk's probe events, in index order, when probed.
     events: Option<Recorder>,
     /// The per-volley engine counters, when metered.
@@ -495,7 +496,7 @@ struct Chunk {
 impl Job<'_> {
     /// Evaluates the volleys `input` (the batch's from index `start` on)
     /// into `output` under one `batch.chunk` span: eight at a time
-    /// through [`Plan::eval_packet`] on SWAR calls, each under a
+    /// through [`Plan::eval_packet`] on lane calls, each under a
     /// `kernel.packet` span, and one at a time through
     /// [`CompiledArtifact::eval_one_instrumented`] otherwise.
     fn run_chunk<T: Tracer>(
@@ -508,7 +509,6 @@ impl Job<'_> {
         let span = tracer.begin("batch.chunk", self.parent);
         let mut chunk = Chunk {
             len: input.len(),
-            stats: PacketStats::default(),
             events: self.probed.then(Recorder::new),
             registry: self.metered.then(MetricsRegistry::new),
             error: None,
@@ -530,9 +530,7 @@ impl Job<'_> {
                 } else {
                     SpanId::NONE
                 };
-                chunk
-                    .stats
-                    .absorb(plan.eval_packet(&mut scratch, packet, slots));
+                plan.eval_packet(&mut scratch, packet, slots);
                 if traced {
                     tracer.end(packet_span);
                 }

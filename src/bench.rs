@@ -188,10 +188,10 @@ fn optimized_bench_network(size: usize) -> Result<Network, String> {
 /// - `grl`: the same sorting network lowered to a race-logic netlist.
 /// - `tnn`: a fresh `size`×`size` SRM0 column with 1-WTA inhibition.
 /// - `kernel`: the `net` sorting network flattened into a lane-packed
-///   SWAR plan — the same computation as `net`, so the two rows read as
-///   a direct engine-vs-engine speedup.
+///   kernel plan — the same computation as `net`, so the two rows read
+///   as a direct engine-vs-engine speedup.
 /// - `rawnet` / `rawkernel`: the deliberately redundant
-///   [`redundant_bench_network`] under the event sim / SWAR plan.
+///   [`redundant_bench_network`] under the event sim / kernel plan.
 /// - `optnet` / `optkernel`: the verified-optimized form of the same
 ///   network — raw-vs-opt row pairs measure what `st-opt` buys.
 ///

@@ -12,7 +12,7 @@
 //! | [`neuron`] | `st-neuron` | SRM0 neurons, responses, RBF units |
 //! | [`tnn`] | `st-tnn` | columns, STDP, tempotron, workloads, metrics |
 //! | [`grl`] | `st-grl` | race logic: CMOS netlists, simulation, energy |
-//! | [`kernel`] | `st-kernel` | flattened SWAR volley kernels, 8 lanes per word |
+//! | [`kernel`] | `st-kernel` | flattened volley kernels on 8- and 256-lane byte blocks |
 //! | [`lint`] | `st-lint` | static diagnostics over all representations |
 //! | [`verify`] | `st-verify` | boundedness certificates + bounded equivalence |
 //! | [`opt`] | `st-opt` | dataflow analyses + verified optimization passes |

@@ -1646,7 +1646,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     };
 
     // Stage 4 — evaluation artifact. The default kernel engine records a
-    // `plan.build` span for the SWAR lowering; the other engines reuse
+    // `plan.build` span for the plan lowering; the other engines reuse
     // the batch evaluator's compiled forms directly.
     let artifact = match engine.as_str() {
         "kernel" => CompiledArtifact::from(Plan::from_network_traced(
@@ -1655,7 +1655,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
             SpanId::NONE,
         )),
         "net" => CompiledArtifact::from_network(&optimized),
-        "grl" => CompiledArtifact::from_grl_network(&optimized),
+        "grl" => CompiledArtifact::try_from_grl_network(&optimized)?,
         "table" => {
             let table = table.ok_or_else(|| {
                 format!("the table engine cannot profile a {kind} file (try --engine kernel)")

@@ -1515,3 +1515,61 @@ fn opt_outputs_match_the_committed_goldens() {
         );
     }
 }
+
+/// `spacetime` under a 2 GB address-space limit, so a lowering that
+/// tried to build a huge netlist would abort instead of exhausting the
+/// machine's memory.
+#[cfg(unix)]
+fn bin_within_2gb() -> Command {
+    let mut cmd = Command::new("sh");
+    cmd.args([
+        "-c",
+        "ulimit -v 2000000 && exec \"$0\" \"$@\"",
+        env!("CARGO_BIN_EXE_spacetime"),
+    ]);
+    cmd
+}
+
+/// One `inc` of `u64::MAX` ticks: it lints clean, but its GRL lowering
+/// would be a shift register of that many flip-flops.
+#[cfg(unix)]
+fn huge_delay_file() -> TempFile {
+    TempFile::with_content(
+        "huge.net",
+        "g0 = input\ng1 = inc 18446744073709551615 g0\noutputs g1\n",
+    )
+}
+
+#[cfg(unix)]
+#[test]
+fn grl_stage_limit_fails_verify_with_the_lowering_diagnostic() {
+    let net = huge_delay_file();
+    let out = bin_within_2gb()
+        .args(["verify", net.to_str()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("error[STA102] gate g1: the GRL lowering does not exist")
+            && stdout.contains("delays too long"),
+        "{stdout}"
+    );
+}
+
+#[cfg(unix)]
+#[test]
+fn grl_stage_limit_fails_batch_with_the_error() {
+    let net = huge_delay_file();
+    let volleys = TempFile::with_content("huge.volleys", "0\n");
+    let out = bin_within_2gb()
+        .args(["batch", net.to_str(), volleys.to_str(), "--engine", "grl"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("gate g1 delays too long for a GRL netlist"),
+        "{stderr}"
+    );
+}

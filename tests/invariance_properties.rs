@@ -24,7 +24,7 @@
 //!
 //! Delays of 248–254 put `lane_input_limit` inside the shifted domain,
 //! so shifts push packets from the lane path onto the scalar one, and
-//! kernel batches from the SWAR path onto the scalar fallback. A
+//! kernel batches from lane packets onto the scalar fallback. A
 //! network with a finite constant must report `false` (a concrete
 //! violation is pinned below), and the GRL and column evaluators keep
 //! the default `false`: opting them in changes what proofs cost.

@@ -11,9 +11,12 @@
 //! committed documents parse, and those with a typed reader re-render
 //! byte-identically through it.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::path::Path;
 
+use common::mutation::{arb_mutation, mutate};
 use proptest::prelude::*;
 use spacetime::core::json::{Json, MAX_DEPTH};
 use spacetime::insight::trace_io::parse_trace;
@@ -131,41 +134,6 @@ fn the_verify_outcome_embeds_a_readable_lint_report() {
     let embedded = outcome.get("report").unwrap();
     let report = Report::from_json(&embedded.to_string()).unwrap();
     assert_eq!(Json::parse(&report.to_json()).as_ref(), Ok(embedded));
-}
-
-/// One byte-level edit of a document.
-#[derive(Debug, Clone)]
-enum Mutation {
-    Flip(usize, u8),
-    Insert(usize, u8),
-    Delete(usize),
-    Truncate(usize),
-}
-
-fn arb_mutation() -> impl Strategy<Value = Mutation> {
-    let at = 0usize..1 << 20;
-    prop_oneof![
-        (at.clone(), 0u8..=255).prop_map(|(i, b)| Mutation::Flip(i, b)),
-        (at.clone(), 0u8..=255).prop_map(|(i, b)| Mutation::Insert(i, b)),
-        at.clone().prop_map(Mutation::Delete),
-        at.prop_map(Mutation::Truncate),
-    ]
-}
-
-fn mutate(mut bytes: Vec<u8>, mutations: &[Mutation]) -> Vec<u8> {
-    for m in mutations {
-        let len = bytes.len();
-        match *m {
-            Mutation::Flip(i, b) if len > 0 => bytes[i % len] ^= b.max(1),
-            Mutation::Insert(i, b) => bytes.insert(i % (len + 1), b),
-            Mutation::Delete(i) if len > 0 => {
-                bytes.remove(i % len);
-            }
-            Mutation::Truncate(i) => bytes.truncate(i % (len + 1)),
-            _ => {}
-        }
-    }
-    bytes
 }
 
 /// A string over a few troublesome characters and all of Unicode.

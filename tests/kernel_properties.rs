@@ -1,16 +1,16 @@
-//! Differential battery for the SWAR kernel engine: on random artifacts
+//! Differential battery for the kernel engine: on random artifacts
 //! and random volleys, `kernel ≡ net ≡ grl ≡ table` bit-for-bit at 1, 2,
 //! and 7 worker threads; the metered and probed entry points are
 //! observationally identical to the plain ones; and the deterministic
 //! `kernel.*` counters never depend on the thread count.
 //!
-//! Every walk over a plan's steps — `u64` words, byte blocks,
+//! Every walk over a plan's steps — eight-lane blocks, 256-lane blocks,
 //! pre-packed blocks and the scalar path — is checked against
 //! `Network::eval` and `Network::trace` on networks built to reach every
 //! step form: merges of one, two and three or more sources, repeated
 //! operands, `inc` chains ending at and past the lane ceiling, and
-//! finite and `∞` constants. Packet counts and gate events are derived
-//! gate by gate from the trace.
+//! finite and `∞` constants. Gate events are derived gate by gate from
+//! the trace.
 
 mod common;
 
@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use spacetime::batch::{BatchEvaluator, CompiledArtifact};
 use spacetime::core::{lane, FunctionTable, Time, Volley};
 use spacetime::grl::compile_network;
-use spacetime::kernel::{ByteBlock, PacketStats, Plan, Scratch, MAX_PACKET};
+use spacetime::kernel::{ByteBlock, Plan, Scratch, MAX_PACKET};
 use spacetime::metrics::{MetricsRegistry, NullMetrics};
 use spacetime::net::sorting::sorting_network;
 use spacetime::net::synth::{synthesize, SynthesisOptions};
@@ -146,54 +146,13 @@ fn trace_events(network: &Network, inputs: &[Time]) -> Vec<ObsEvent> {
         .collect()
 }
 
-/// The counts one packet of `volleys` must report, gate by gate from
-/// `Network::trace`. On words (up to eight volleys, the lanes past them
-/// silent) a gate with sources is skipped exactly when every lane of
-/// every source is `∞` — a lane holds its gate's time, saturated to `∞`
-/// past 254 — and evaluated otherwise; byte blocks skip none. Inputs and
-/// constants count neither way.
-fn expected_stats(network: &Network, volleys: &[Volley]) -> PacketStats {
-    let gated = || {
-        network
-            .iter_gates()
-            .map(|(id, _)| network.sources(id).unwrap())
-            .filter(|srcs| !srcs.is_empty())
-    };
-    if volleys.len() > lane::LANES {
-        return PacketStats {
-            gates_swar: gated().count() as u64,
-            gates_skipped: 0,
-        };
-    }
-    let silent_lane = Volley::silent(network.input_count());
-    let traces: Vec<Vec<Time>> = (0..lane::LANES)
-        .map(|j| {
-            network
-                .trace(volleys.get(j).unwrap_or(&silent_lane).times())
-                .unwrap()
-        })
-        .collect();
-    let silent = |g: usize| {
-        traces
-            .iter()
-            .all(|t| lane::encode(t[g]).is_none_or(|b| b == lane::INF))
-    };
-    let skipped = gated()
-        .filter(|srcs| srcs.iter().all(|s| silent(s.index())))
-        .count() as u64;
-    PacketStats {
-        gates_swar: gated().count() as u64 - skipped,
-        gates_skipped: skipped,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Four-way agreement on synthesized artifacts: a random neuron is
     /// tabulated, the table is synthesized to a network (Theorem 1), and
-    /// the compiled table / event-sim network / GRL netlist / SWAR
-    /// kernel evaluate random volleys bit-identically at every thread
+    /// the compiled table / event-sim network / GRL netlist / kernel
+    /// plan evaluate random volleys bit-identically at every thread
     /// count.
     #[test]
     fn kernel_matches_net_grl_and_table(
@@ -256,7 +215,7 @@ proptest! {
 
     /// The st-opt verified pipeline joins the battery: optimizing a
     /// synthesized network must not change what any engine computes —
-    /// the optimized network and its SWAR kernel plan agree with the
+    /// the optimized network and its kernel plan agree with the
     /// raw source on random volleys at every thread count.
     #[test]
     fn optimized_networks_join_the_differential_battery(
@@ -291,7 +250,7 @@ proptest! {
     }
 
     /// One `Plan::eval_packet` call carries 1–256 lane-capable volleys —
-    /// one `u64` lane word per gate up to eight volleys, one 256-byte
+    /// one eight-lane block per gate up to eight volleys, one 256-byte
     /// block past that — and matches `Plan::eval` on each; a scratch
     /// reused from a wider packet leaves no trace in a narrower one.
     #[test]
@@ -359,9 +318,9 @@ proptest! {
 
     /// The kernel's metered and probed batch entry points return exactly
     /// the plain outputs; the probe stream is each volley's marker, then
-    /// (off the SWAR path) its gate firings as `Network::trace` reports
+    /// (off the lane path) its gate firings as `Network::trace` reports
     /// them; and the deterministic `kernel.*` counters are identical at
-    /// every thread count.
+    /// every thread count, a packet counting every plan step once.
     #[test]
     fn kernel_metered_and_probed_match_plain(
         neuron in arb_neuron(),
@@ -369,7 +328,8 @@ proptest! {
     ) {
         let network = srm0_network(&neuron);
         let volleys = to_volleys(&raw_volleys, network.input_count());
-        let artifact = CompiledArtifact::from_kernel_network(&network);
+        let plan = Plan::from_network(&network);
+        let artifact = CompiledArtifact::Kernel(plan.clone());
         let plain = BatchEvaluator::with_threads(1)
             .eval(&artifact, &volleys)
             .unwrap();
@@ -381,10 +341,15 @@ proptest! {
             let metered = evaluator.eval_instrumented(&artifact, &volleys, &mut NullProbe, &mut sink, &mut NullTracer, SpanId::NONE).unwrap();
             prop_assert_eq!(&metered, &plain, "metered, {} threads", threads);
             prop_assert_eq!(sink.counter("batch.volleys"), volleys.len() as u64);
+            let packets = volleys.len().div_ceil(8) as u64;
             prop_assert_eq!(
                 sink.counter("kernel.packets"),
-                volleys.len().div_ceil(8) as u64,
+                packets,
                 "packet partition must be thread-invariant"
+            );
+            prop_assert_eq!(
+                sink.counter("kernel.gates_swar"),
+                packets * plan.gate_count() as u64
             );
             let counters: Vec<(String, u64)> = sink
                 .counters()
@@ -400,11 +365,11 @@ proptest! {
             let mut recorder = Recorder::new();
             let probed = evaluator.eval_instrumented(&artifact, &volleys, &mut recorder, &mut NullMetrics, &mut NullTracer, SpanId::NONE).unwrap();
             prop_assert_eq!(&probed, &plain, "probed, {} threads", threads);
-            let swar = Plan::from_network(&network).lane_capable(&volleys);
+            let lanes = plan.lane_capable(&volleys);
             let mut expected = Vec::new();
             for (index, volley) in volleys.iter().enumerate() {
                 expected.push(ObsEvent::VolleyStart { index });
-                if !swar {
+                if !lanes {
                     expected.extend(trace_events(&network, volley.times()));
                 }
             }
@@ -439,17 +404,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Every walk over a plan's steps equals `Network::eval`: the scalar
-    /// path on every volley, and where the plan has a lane bound, word
-    /// packets of 1–8 volleys, one byte packet of 9–256 and one
-    /// pre-packed packet of all of them (junk in the lanes past its
-    /// end). Each packet counts exactly the gates its trace says it
-    /// evaluated or skipped, and the scalar path reports exactly the
-    /// trace's firings.
+    /// path on every volley, and where the plan has a lane bound,
+    /// packets of 1–8 volleys on the eight-lane block, one packet of
+    /// 9–256 on the 256-lane block and one pre-packed packet of all of
+    /// them (junk in the lanes past its end). The scalar path reports
+    /// exactly the trace's firings.
     #[test]
     fn every_step_walk_matches_the_network(
         network in arb_step_network(),
         raw_volleys in prop::collection::vec(arb_volley(4), 1..=MAX_PACKET),
-        word in 1usize..=lane::LANES,
+        narrow in 1usize..=lane::LANES,
         junk in 0u8..=u8::MAX,
     ) {
         let plan = Plan::from_network(&network);
@@ -467,17 +431,16 @@ proptest! {
         let volleys = fitted(&raw_volleys, width, limit);
         prop_assert!(plan.lane_capable(&volleys));
         let mut scratch = Scratch::default();
-        let mut packets: Vec<&[Volley]> = volleys.chunks(word).collect();
+        let mut packets: Vec<&[Volley]> = volleys.chunks(narrow).collect();
         if volleys.len() > lane::LANES {
             packets.push(&volleys);
         }
         for packet in packets {
             let mut out = vec![Volley::default(); packet.len()];
-            let stats = plan.eval_packet(&mut scratch, packet, &mut out);
+            plan.eval_packet(&mut scratch, packet, &mut out);
             for (volley, got) in packet.iter().zip(&out) {
                 prop_assert_eq!(got.times(), &network.eval(volley.times()).unwrap()[..]);
             }
-            prop_assert_eq!(stats, expected_stats(&network, packet), "{} volleys", packet.len());
         }
         let mut inputs = vec![[junk; MAX_PACKET]; width];
         for (j, volley) in volleys.iter().enumerate() {
@@ -486,8 +449,7 @@ proptest! {
             }
         }
         let mut outputs = vec![[0; MAX_PACKET]; plan.output_width()];
-        let stats = plan.eval_blocks(&mut scratch, &inputs, &mut outputs);
-        prop_assert_eq!(stats.gates_skipped, 0);
+        plan.eval_blocks(&mut scratch, &inputs, &mut outputs);
         for (j, volley) in volleys.iter().enumerate() {
             let lanes: Vec<Time> = outputs.iter().map(|block| lane::decode(block[j])).collect();
             prop_assert_eq!(lanes, network.eval(volley.times()).unwrap(), "lane {}", j);

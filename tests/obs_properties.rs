@@ -23,11 +23,11 @@ use spacetime::tnn::{Column, Inhibition};
 use spacetime::trace::NullTracer;
 
 /// One batch call of the batch properties: an artifact, the volleys it
-/// runs on, and whether the call takes the SWAR packet path.
+/// runs on, and whether the call takes lane packets.
 struct BatchCase {
     artifact: CompiledArtifact,
     volleys: Vec<Volley>,
-    swar: bool,
+    lanes: bool,
 }
 
 /// The drawn volleys cut to the neuron's width.
@@ -56,7 +56,7 @@ fn batch_cases(neuron: &Srm0Neuron, volleys: &[Volley]) -> Vec<BatchCase> {
     let scalar = |artifact| BatchCase {
         artifact,
         volleys: volleys.to_vec(),
-        swar: false,
+        lanes: false,
     };
     vec![
         scalar(CompiledArtifact::from_table(&table)),
@@ -66,25 +66,29 @@ fn batch_cases(neuron: &Srm0Neuron, volleys: &[Volley]) -> Vec<BatchCase> {
         BatchCase {
             artifact: CompiledArtifact::Kernel(plan.clone()),
             volleys: volleys.to_vec(),
-            swar: plan.lane_capable(volleys),
+            lanes: plan.lane_capable(volleys),
         },
         BatchCase {
             artifact: CompiledArtifact::Kernel(plan),
             volleys: beyond,
-            swar: false,
+            lanes: false,
         },
     ]
 }
 
 /// What a sequential per-volley run of `artifact`'s own engine records
 /// over `volleys`: each volley's `VolleyStart` marker, then the events
-/// its engine records for it (a function table records none). A SWAR
-/// call (`swar`) records the markers alone.
-fn sequential_events(artifact: &CompiledArtifact, volleys: &[Volley], swar: bool) -> Vec<ObsEvent> {
+/// its engine records for it (a function table records none). A lane
+/// packet call (`lanes`) records the markers alone.
+fn sequential_events(
+    artifact: &CompiledArtifact,
+    volleys: &[Volley],
+    lanes: bool,
+) -> Vec<ObsEvent> {
     let mut recorder = Recorder::new();
     for (index, volley) in volleys.iter().enumerate() {
         recorder.begin_volley(index);
-        if swar {
+        if lanes {
             continue;
         }
         let times = volley.times();
@@ -214,7 +218,7 @@ proptest! {
     /// any output volley, and it records exactly what a sequential
     /// per-volley run of the same engine records, each volley's
     /// `VolleyStart` marker carrying its index in the batch (markers
-    /// alone on the SWAR path). The same batch with one malformed volley
+    /// alone on lane packets). The same batch with one malformed volley
     /// appended records nothing.
     #[test]
     fn batch_probed_eval_is_identical_across_thread_counts(
@@ -228,7 +232,7 @@ proptest! {
             let plain = BatchEvaluator::with_threads(1)
                 .eval(artifact, volleys)
                 .unwrap();
-            let expected = sequential_events(artifact, volleys, case.swar);
+            let expected = sequential_events(artifact, volleys, case.lanes);
             let mut bad = volleys.clone();
             bad.push(Volley::silent(artifact.input_width() + 1));
             for workers in [1, threads] {
@@ -404,7 +408,7 @@ proptest! {
 
     /// The batch engine, on every artifact kind and on both kernel paths:
     /// a live metrics sink never changes any output volley, the packet
-    /// counter counts SWAR packets only, and the engine counters
+    /// counter counts lane packets only, and the engine counters
     /// (everything except the chunking-dependent `batch.chunks`) are
     /// identical at every thread count — the deterministic-merge
     /// contract.
@@ -435,7 +439,7 @@ proptest! {
                     .unwrap();
                 prop_assert_eq!(&metered, &plain, "workers = {}", workers);
                 prop_assert_eq!(registry.counter("batch.volleys"), volleys.len() as u64);
-                let packets = if case.swar { volleys.len().div_ceil(lane::LANES) } else { 0 };
+                let packets = if case.lanes { volleys.len().div_ceil(lane::LANES) } else { 0 };
                 prop_assert_eq!(registry.counter("kernel.packets"), packets as u64);
                 let counters: Vec<(&'static str, u64)> = registry
                     .counters()
@@ -469,7 +473,7 @@ proptest! {
     /// plain; the trace passes the structural invariants; a call's
     /// `batch.chunk` spans sit on the calling thread (`tid` 0) exactly
     /// when it ran one chunk, and on distinct worker threads otherwise;
-    /// `kernel.packet` spans count the SWAR packets (none on the scalar
+    /// `kernel.packet` spans count the lane packets (none on the scalar
     /// fallback); and per-name span counts are thread-count invariant
     /// except `batch.chunk` (which mirrors the `batch.chunks` metric).
     #[test]
@@ -523,7 +527,7 @@ proptest! {
                     prop_assert!(!tids.contains(&0), "workers = {}", workers);
                 }
                 let packets = records.iter().filter(|r| r.name == "kernel.packet").count();
-                let expected = if case.swar { volleys.len().div_ceil(lane::LANES) } else { 0 };
+                let expected = if case.lanes { volleys.len().div_ceil(lane::LANES) } else { 0 };
                 prop_assert_eq!(packets, expected, "workers = {}", workers);
                 let counts: Vec<(&'static str, u64)> = span_counts(&records)
                     .into_iter()
