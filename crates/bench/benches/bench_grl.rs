@@ -46,7 +46,7 @@ fn bench_alignment(c: &mut Criterion) {
             .map(|_| bases[rng.random_range(0..4usize)])
             .collect();
         group.bench_with_input(BenchmarkId::new("race_logic", len), &len, |bch, _| {
-            bch.iter(|| edit_distance_race(black_box(&a), black_box(&b)).0);
+            bch.iter(|| edit_distance_race(black_box(&a), black_box(&b)).unwrap().0);
         });
         group.bench_with_input(BenchmarkId::new("textbook_dp", len), &len, |bch, _| {
             bch.iter(|| edit_distance_reference(black_box(&a), black_box(&b)));

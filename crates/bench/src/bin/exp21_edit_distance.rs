@@ -25,10 +25,10 @@ fn main() {
     );
 
     // The classic example, with its full wavefront table.
-    let (d, _) = edit_distance_race(b"kitten", b"sitting");
+    let (d, _) = edit_distance_race(b"kitten", b"sitting").expect("short strings");
     println!("\nkitten → sitting: distance {d} (expected 3)");
     println!("\nwavefront arrival times (= the DP table), race vs textbook:");
-    let table = alignment_table_race(b"race", b"trace");
+    let table = alignment_table_race(b"race", b"trace").expect("short strings");
     for row in &table {
         println!("  {row:?}");
     }
@@ -42,7 +42,7 @@ fn main() {
         let a = random_dna(len, &mut rng);
         let b = random_dna(len, &mut rng);
         let reference = edit_distance_reference(&a, &b);
-        let (race, report) = edit_distance_race(&a, &b);
+        let (race, report) = edit_distance_race(&a, &b).expect("short strings");
         assert_eq!(race, reference);
         let dag = alignment_dag(&a, &b);
         let netlist = compile_network(&dag.to_network(0));

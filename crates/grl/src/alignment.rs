@@ -10,6 +10,7 @@
 //! [`edit_distance_race`] runs the computation on the gate-level GRL
 //! simulator; [`edit_distance_reference`] is the textbook DP baseline.
 
+use crate::compile::GrlCompileError;
 use crate::shortest_path::{shortest_paths_race, WeightedDag};
 use crate::sim::GrlReport;
 
@@ -43,16 +44,23 @@ pub fn alignment_dag<T: PartialEq>(a: &[T], b: &[T]) -> WeightedDag {
 /// Edit distance computed by the race-logic circuit, plus the simulation
 /// report. The distance is the *fall time* of the far-corner wire — the
 /// computation takes exactly `distance` cycles of evaluation.
-#[must_use]
-pub fn edit_distance_race<T: PartialEq>(a: &[T], b: &[T]) -> (u64, GrlReport) {
+///
+/// # Errors
+///
+/// [`GrlCompileError`] when the grid's delays pass
+/// [`crate::MAX_DELAY_STAGES`] flip-flop stages (about three per cell).
+pub fn edit_distance_race<T: PartialEq>(
+    a: &[T],
+    b: &[T],
+) -> Result<(u64, GrlReport), GrlCompileError> {
     let dag = alignment_dag(a, b);
-    let (distances, report) = shortest_paths_race(&dag, 0);
+    let (distances, report) = shortest_paths_race(&dag, 0)?;
     let d = distances
         .last()
         .expect("grid has at least one node")
         .value()
         .expect("the far corner is always reachable");
-    (d, report)
+    Ok((d, report))
 }
 
 /// Textbook dynamic-programming edit distance (the baseline).
@@ -75,19 +83,26 @@ pub fn edit_distance_reference<T: PartialEq>(a: &[T], b: &[T]) -> u64 {
 
 /// Distances from the origin to *every* grid cell via race logic — the
 /// full DP table, read off the wavefront's arrival times.
-#[must_use]
-pub fn alignment_table_race<T: PartialEq>(a: &[T], b: &[T]) -> Vec<Vec<u64>> {
+///
+/// # Errors
+///
+/// [`GrlCompileError`] when the grid's delays pass
+/// [`crate::MAX_DELAY_STAGES`] flip-flop stages.
+pub fn alignment_table_race<T: PartialEq>(
+    a: &[T],
+    b: &[T],
+) -> Result<Vec<Vec<u64>>, GrlCompileError> {
     let dag = alignment_dag(a, b);
-    let (distances, _) = shortest_paths_race(&dag, 0);
+    let (distances, _) = shortest_paths_race(&dag, 0)?;
     let m = b.len();
-    distances
+    Ok(distances
         .chunks(m + 1)
         .map(|row| {
             row.iter()
                 .map(|d| d.value().expect("all grid cells reachable"))
                 .collect()
         })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -97,7 +112,7 @@ mod tests {
     use rand::{RngExt, SeedableRng};
 
     fn race(a: &str, b: &str) -> u64 {
-        edit_distance_race(a.as_bytes(), b.as_bytes()).0
+        edit_distance_race(a.as_bytes(), b.as_bytes()).unwrap().0
     }
 
     fn reference(a: &str, b: &str) -> u64 {
@@ -130,7 +145,7 @@ mod tests {
                 .map(|_| bases[rng.random_range(0..4usize)])
                 .collect();
             assert_eq!(
-                edit_distance_race(&a, &b).0,
+                edit_distance_race(&a, &b).unwrap().0,
                 edit_distance_reference(&a, &b),
                 "a={a:?} b={b:?}"
             );
@@ -139,7 +154,7 @@ mod tests {
 
     #[test]
     fn the_answer_is_the_arrival_time() {
-        let (d, report) = edit_distance_race(b"kitten", b"sitting");
+        let (d, report) = edit_distance_race(b"kitten", b"sitting").unwrap();
         // The far corner's wire fell at exactly cycle d; nothing needs to
         // settle much later (residual flip-flops drain a little longer).
         assert_eq!(d, 3);
@@ -152,7 +167,7 @@ mod tests {
     fn full_table_matches_dp() {
         let a = b"race";
         let b = b"trace";
-        let table = alignment_table_race(a, b);
+        let table = alignment_table_race(a, b).unwrap();
         assert_eq!(table.len(), a.len() + 1);
         assert_eq!(table[0], vec![0, 1, 2, 3, 4, 5]);
         for (i, row) in table.iter().enumerate() {
@@ -171,7 +186,7 @@ mod tests {
     fn works_for_non_byte_alphabets() {
         let a = [1u32, 2, 3, 4];
         let b = [1u32, 3, 4];
-        assert_eq!(edit_distance_race(&a, &b).0, 1);
+        assert_eq!(edit_distance_race(&a, &b).unwrap().0, 1);
         assert_eq!(edit_distance_reference(&a, &b), 1);
     }
 }

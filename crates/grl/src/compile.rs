@@ -23,10 +23,14 @@ use crate::netlist::{GrlBuilder, GrlNetlist, WireId};
 
 /// The most flip-flop stages one netlist may hold: an `inc c` gate is a
 /// `c`-stage shift register, so a network whose delays sum past this is
-/// refused rather than built one stage at a time. The shipped examples,
-/// the test suites and the experiment binaries build at most 6 144
-/// stages per netlist (`exp24_throughput`).
-pub const MAX_DELAY_STAGES: u64 = 1 << 16;
+/// refused before any stage is built. The limit is sized from memory:
+/// 4 194 304 stages of 24-byte gates are 96 MiB of netlist, and the
+/// simulator keeps 11 bytes of state per wire beside it. That admits
+/// `spacetime edit-distance` on strings of about 1 200 symbols (about
+/// three stages per alignment cell) and is far past the 6 144 stages the
+/// shipped examples, the test suites and the experiment binaries build
+/// at most (`exp24_throughput`).
+pub const MAX_DELAY_STAGES: u64 = 1 << 22;
 
 /// Why a network could not be lowered to CMOS.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,11 +122,11 @@ pub fn compile_network(network: &Network) -> GrlNetlist {
 /// # Errors
 ///
 /// [`GrlCompileError`] when a gate has no entry in the § V.C mapping
-/// table, or when the flip-flop stages of the delays so far would pass
-/// [`MAX_DELAY_STAGES`]; nothing past the limit is built.
+/// table, or when the network's delays sum past [`MAX_DELAY_STAGES`]
+/// flip-flop stages; then nothing is built.
 pub fn try_compile_network(network: &Network) -> Result<GrlNetlist, GrlCompileError> {
+    check_delay_stages(network)?;
     let mut b = GrlBuilder::new();
-    let mut stages = 0u64;
     let mut wires: Vec<WireId> = Vec::with_capacity(network.gate_count());
     for (id, kind) in network.iter_gates() {
         let sources = network.sources(id).expect("id from iter_gates");
@@ -136,16 +140,7 @@ pub fn try_compile_network(network: &Network) -> Result<GrlNetlist, GrlCompileEr
             GateKind::Min => b.and_all(&srcs),
             GateKind::Max => b.or_all(&srcs),
             GateKind::Lt => b.lt(srcs[0], srcs[1]),
-            GateKind::Inc(c) => {
-                stages = stages.saturating_add(c);
-                if stages > MAX_DELAY_STAGES {
-                    return Err(GrlCompileError {
-                        gate: id.index(),
-                        reason: GrlCompileReason::DelayTooLong { stages },
-                    });
-                }
-                b.shift_register(srcs[0], c)
-            }
+            GateKind::Inc(c) => b.shift_register(srcs[0], c),
             // GateKind is #[non_exhaustive]; any future algebraic gate
             // needs an explicit CMOS mapping here.
             other => {
@@ -171,6 +166,25 @@ pub fn try_compile_network(network: &Network) -> Result<GrlNetlist, GrlCompileEr
         );
     }
     Ok(netlist)
+}
+
+/// Refuses a network whose shift registers would hold more than
+/// [`MAX_DELAY_STAGES`] flip-flops, naming the `inc` gate whose delay
+/// takes the running total past the limit.
+fn check_delay_stages(network: &Network) -> Result<(), GrlCompileError> {
+    let mut stages = 0u64;
+    for (id, kind) in network.iter_gates() {
+        if let GateKind::Inc(c) = kind {
+            stages = stages.saturating_add(c);
+            if stages > MAX_DELAY_STAGES {
+                return Err(GrlCompileError {
+                    gate: id.index(),
+                    reason: GrlCompileReason::DelayTooLong { stages },
+                });
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -290,7 +304,21 @@ mod tests {
         let half = b.inc(x, MAX_DELAY_STAGES / 2);
         let full = b.inc(half, MAX_DELAY_STAGES / 2);
         let at_limit = b.build([full]);
-        assert!(try_compile_network(&at_limit).is_ok());
+        assert_eq!(check_delay_stages(&at_limit), Ok(()));
+
+        let mut b = NetworkBuilder::new();
+        let x = b.input();
+        let half = b.inc(x, MAX_DELAY_STAGES / 2);
+        let full = b.inc(half, MAX_DELAY_STAGES / 2);
+        let past = b.inc(full, 1);
+        let e = try_compile_network(&b.build([past])).unwrap_err();
+        assert_eq!(e.gate, 3);
+        assert_eq!(
+            e.reason,
+            GrlCompileReason::DelayTooLong {
+                stages: MAX_DELAY_STAGES + 1
+            }
+        );
 
         let mut b = NetworkBuilder::new();
         let x = b.input();

@@ -29,12 +29,12 @@
 //! use st_grl::shortest_path::{shortest_paths_race, shortest_paths_reference, WeightedDag};
 //!
 //! let dag = WeightedDag::new(4, vec![(0, 1, 2), (0, 2, 5), (1, 3, 2), (2, 3, 1)])?;
-//! let (race, report) = shortest_paths_race(&dag, 0);
+//! let (race, report) = shortest_paths_race(&dag, 0)?;
 //! assert_eq!(race, shortest_paths_reference(&dag, 0));
 //! assert_eq!(race[3], Time::finite(4));
 //! // Every wire switched at most once (§ VI minimal-transition property).
 //! assert!(report.eval_transitions <= report.fall_times.len());
-//! # Ok::<(), String>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 pub mod alignment;
 pub mod compile;

@@ -16,7 +16,7 @@ use rand::{RngExt, SeedableRng};
 use st_core::Time;
 use st_net::{Network, NetworkBuilder};
 
-use crate::compile::compile_network;
+use crate::compile::{try_compile_network, GrlCompileError};
 use crate::sim::{GrlReport, GrlSim};
 
 /// A directed acyclic graph with nonnegative integer edge weights, in
@@ -110,6 +110,11 @@ impl WeightedDag {
         let mut b = NetworkBuilder::new();
         let pulse = b.input();
         let never = b.constant(Time::INFINITY);
+        // Outgoing edges per node, in the order given.
+        let mut outgoing: Vec<Vec<(usize, u64)>> = vec![Vec::new(); self.node_count];
+        for &(u, to, w) in &self.edges {
+            outgoing[u].push((to, w));
+        }
         // Incoming delayed wires per node.
         let mut incoming: Vec<Vec<st_net::GateId>> = vec![Vec::new(); self.node_count];
         incoming[source].push(pulse);
@@ -122,11 +127,9 @@ impl WeightedDag {
                 b.min(incoming[v].clone()).expect("non-empty")
             };
             node_wire[v] = Some(wire);
-            for &(u, to, w) in &self.edges {
-                if u == v {
-                    let delayed = b.inc(wire, w);
-                    incoming[to].push(delayed);
-                }
+            for &(to, w) in &outgoing[v] {
+                let delayed = b.inc(wire, w);
+                incoming[to].push(delayed);
             }
         }
         b.build(node_wire.into_iter().map(|w| w.expect("all nodes visited")))
@@ -137,17 +140,24 @@ impl WeightedDag {
 /// compiled race-logic circuit; `∞` for unreachable nodes. Also returns
 /// the simulation report (transition counts, cycles).
 ///
+/// # Errors
+///
+/// [`GrlCompileError`] when the edge weights sum past
+/// [`crate::MAX_DELAY_STAGES`] flip-flop stages.
+///
 /// # Panics
 ///
 /// Panics if `source` is out of range.
-#[must_use]
-pub fn shortest_paths_race(dag: &WeightedDag, source: usize) -> (Vec<Time>, GrlReport) {
+pub fn shortest_paths_race(
+    dag: &WeightedDag,
+    source: usize,
+) -> Result<(Vec<Time>, GrlReport), GrlCompileError> {
     let network = dag.to_network(source);
-    let netlist = compile_network(&network);
+    let netlist = try_compile_network(&network)?;
     let report = GrlSim::new()
         .run(&netlist, &[Time::ZERO])
         .expect("arity 1 by construction");
-    (report.outputs.clone(), report)
+    Ok((report.outputs.clone(), report))
 }
 
 /// Classical baseline: single-source shortest paths by relaxation in
@@ -201,7 +211,7 @@ mod tests {
     #[test]
     fn race_logic_matches_reference_on_diamond() {
         let dag = diamond();
-        let (race, _) = shortest_paths_race(&dag, 0);
+        let (race, _) = shortest_paths_race(&dag, 0).unwrap();
         let reference = shortest_paths_reference(&dag, 0);
         assert_eq!(race, reference);
         assert_eq!(reference, vec![t(0), t(2), t(3), t(4)]);
@@ -210,10 +220,10 @@ mod tests {
     #[test]
     fn unreachable_nodes_never_fall() {
         let dag = WeightedDag::new(3, vec![(1, 2, 4)]).unwrap();
-        let (race, _) = shortest_paths_race(&dag, 0);
+        let (race, _) = shortest_paths_race(&dag, 0).unwrap();
         assert_eq!(race, vec![t(0), INF, INF]);
         // From a later source, earlier nodes are unreachable.
-        let (race, _) = shortest_paths_race(&dag, 1);
+        let (race, _) = shortest_paths_race(&dag, 1).unwrap();
         assert_eq!(race, vec![INF, t(0), t(4)]);
     }
 
@@ -221,7 +231,7 @@ mod tests {
     fn race_logic_matches_reference_on_random_dags() {
         for seed in 0..10 {
             let dag = WeightedDag::random(12, 4, 0.4, 5, seed);
-            let (race, _) = shortest_paths_race(&dag, 0);
+            let (race, _) = shortest_paths_race(&dag, 0).unwrap();
             let reference = shortest_paths_reference(&dag, 0);
             assert_eq!(race, reference, "seed {seed}, dag {dag:?}");
         }
@@ -232,7 +242,7 @@ mod tests {
         // The circuit settles within (longest finite distance) cycles —
         // "the time it takes to compute a value is the value".
         let dag = diamond();
-        let (race, report) = shortest_paths_race(&dag, 0);
+        let (race, report) = shortest_paths_race(&dag, 0).unwrap();
         let longest = race.iter().filter_map(|d| d.value()).max().unwrap();
         // fall times of node wires are exactly the distances.
         assert!(
@@ -250,7 +260,7 @@ mod tests {
     #[test]
     fn transition_count_scales_with_reached_subgraph() {
         let dag = WeightedDag::new(4, vec![(0, 1, 1), (2, 3, 1)]).unwrap();
-        let (race, report) = shortest_paths_race(&dag, 2);
+        let (race, report) = shortest_paths_race(&dag, 2).unwrap();
         assert_eq!(race, vec![INF, INF, t(0), t(1)]);
         // Only the source pulse and the 2→3 edge's flip-flop fall (unary
         // node joins collapse into wires); the 0/1 component stays silent.
@@ -268,8 +278,15 @@ mod tests {
     #[test]
     fn zero_weight_edges_work() {
         let dag = WeightedDag::new(3, vec![(0, 1, 0), (1, 2, 3)]).unwrap();
-        let (race, _) = shortest_paths_race(&dag, 0);
+        let (race, _) = shortest_paths_race(&dag, 0).unwrap();
         assert_eq!(race, vec![t(0), t(0), t(3)]);
+    }
+
+    #[test]
+    fn weights_past_the_stage_limit_are_an_error() {
+        let dag = WeightedDag::new(3, vec![(0, 1, 1), (1, 2, u64::MAX)]).unwrap();
+        let e = shortest_paths_race(&dag, 0).unwrap_err();
+        assert!(e.to_string().contains("delays too long"), "{e}");
     }
 
     #[test]

@@ -33,7 +33,9 @@ pub struct GrlReport {
     /// `0→1` transitions the subsequent reset phase must pay to restore
     /// the fallen wires (equal to `eval_transitions`) plus latch resets.
     pub reset_transitions: usize,
-    /// Cycles simulated.
+    /// Cycles the computation is clocked for: the netlist's settle bound
+    /// plus one. The simulator stops evaluating once the circuit has
+    /// settled, as every later cycle repeats the last one.
     pub cycles: u64,
 }
 
@@ -175,8 +177,22 @@ impl GrlSim {
         let mut fall: Vec<Time> = vec![Time::INFINITY; n];
         let mut lt_latched = 0usize; // latches that captured a "blocked" state
 
+        // From this cycle on no input or configuration wire falls, so a
+        // cycle that changes no wire and no latch repeats forever.
+        let last_source = netlist
+            .gates
+            .iter()
+            .filter_map(|g| match *g {
+                GrlGate::FallAt(c) => Some(c),
+                _ => None,
+            })
+            .chain(inputs.iter().filter_map(|t| t.value()))
+            .max()
+            .unwrap_or(0);
+
         for cycle in 0..=horizon {
             let t = Time::finite(cycle);
+            let mut changed = false;
             for (i, gate) in netlist.gates.iter().enumerate() {
                 let new_level = match *gate {
                     GrlGate::Input(p) => t < inputs[p],
@@ -190,6 +206,7 @@ impl GrlSim {
                         if !level[b.index()] && prev_level[a.index()] && !blocked[i] {
                             blocked[i] = true;
                             lt_latched += 1;
+                            changed = true;
                             if probe.is_enabled() {
                                 probe.record(ObsEvent::LatchBlocked { wire: i, at: t });
                             }
@@ -200,11 +217,15 @@ impl GrlSim {
                 };
                 if level[i] && !new_level {
                     fall[i] = t;
+                    changed = true;
                     if probe.is_enabled() {
                         probe.record(ObsEvent::WireFell { wire: i, at: t });
                     }
                 }
                 level[i] = new_level;
+            }
+            if !changed && cycle >= last_source {
+                break;
             }
             prev_level.copy_from_slice(level);
         }

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (and, or, lt, ff) = netlist.gate_census();
     println!("compiled race-logic circuit: {and} AND, {or} OR, {lt} latches, {ff} flip-flops\n");
 
-    let (race, report) = shortest_paths_race(&dag, 0);
+    let (race, report) = shortest_paths_race(&dag, 0)?;
     let reference = shortest_paths_reference(&dag, 0);
     println!("node  race-logic  classical");
     for (i, (r, c)) in race.iter().zip(&reference).enumerate() {
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nscaling (random DAGs): race == classical at every size");
     for &n in &[16usize, 64, 256] {
         let dag = WeightedDag::random(n, 4, 0.5, 6, n as u64);
-        let (race, report) = shortest_paths_race(&dag, 0);
+        let (race, report) = shortest_paths_race(&dag, 0)?;
         assert_eq!(race, shortest_paths_reference(&dag, 0));
         println!(
             "  n = {n:3}: max distance {:?}, {} cycles, {} transitions",

@@ -455,7 +455,8 @@ fn cmd_edit_distance(args: &[String]) -> Result<(), String> {
     let [a, b] = args else {
         return Err("usage: spacetime edit-distance <a> <b>".into());
     };
-    let (d, report) = spacetime::grl::edit_distance_race(a.as_bytes(), b.as_bytes());
+    let (d, report) = spacetime::grl::edit_distance_race(a.as_bytes(), b.as_bytes())
+        .map_err(|e| e.to_string())?;
     let reference = spacetime::grl::edit_distance_reference(a.as_bytes(), b.as_bytes());
     assert_eq!(d, reference, "race logic disagreed with the DP baseline");
     println!("{d}");

@@ -121,6 +121,30 @@ fn sort_and_wta_and_edit_distance() {
     assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "3");
 }
 
+/// `len` pseudo-random DNA bases from a 64-bit LCG seeded with `seed`.
+fn lcg_dna(seed: u64, len: usize) -> String {
+    let mut x = seed;
+    (0..len)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            char::from(b"ACGT"[(x >> 62) as usize])
+        })
+        .collect()
+}
+
+#[test]
+fn edit_distance_races_two_200_base_strings() {
+    // The alignment grid holds 110 505 flip-flop stages.
+    let out = bin()
+        .args(["edit-distance", &lcg_dna(1, 200), &lcg_dna(2, 200)])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "109");
+}
+
 #[test]
 fn expr_evaluates_simplifies_and_samples() {
     let out = bin()

@@ -59,7 +59,7 @@ fn large_race_logic_instances() {
     };
     for seed in 0..5 {
         let dag = WeightedDag::random(512, 6, 0.4, 8, seed);
-        let (race, _) = shortest_paths_race(&dag, 0);
+        let (race, _) = shortest_paths_race(&dag, 0).unwrap();
         assert_eq!(race, shortest_paths_reference(&dag, 0), "seed {seed}");
     }
     use spacetime::grl::{edit_distance_race, edit_distance_reference};
@@ -72,7 +72,7 @@ fn large_race_logic_instances() {
         .map(|_| bases[rng.random_range(0..4usize)])
         .collect();
     assert_eq!(
-        edit_distance_race(&a, &b).0,
+        edit_distance_race(&a, &b).unwrap().0,
         edit_distance_reference(&a, &b)
     );
 }
