@@ -24,12 +24,11 @@ use crate::netlist::{GrlBuilder, GrlNetlist, WireId};
 /// The most flip-flop stages one netlist may hold: an `inc c` gate is a
 /// `c`-stage shift register, so a network whose delays sum past this is
 /// refused before any stage is built. The limit is sized from memory:
-/// 4 194 304 stages of 24-byte gates are 96 MiB of netlist, and the
-/// simulator keeps 11 bytes of state per wire beside it. That admits
-/// `spacetime edit-distance` on strings of about 1 200 symbols (about
-/// three stages per alignment cell) and is far past the 6 144 stages the
-/// shipped examples, the test suites and the experiment binaries build
-/// at most (`exp24_throughput`).
+/// 4 194 304 stages of 24-byte gates are 96 MiB of netlist, beside the
+/// simulator's 11 bytes of state per wire. It is not sized from the
+/// largest netlist the repo builds itself (6 144 stages, in
+/// `exp24_throughput`), because `spacetime edit-distance` builds about
+/// three stages per alignment cell from its arguments.
 pub const MAX_DELAY_STAGES: u64 = 1 << 22;
 
 /// Why a network could not be lowered to CMOS.

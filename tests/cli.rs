@@ -135,7 +135,7 @@ fn lcg_dna(seed: u64, len: usize) -> String {
 }
 
 #[test]
-fn edit_distance_races_two_200_base_strings() {
+fn grl_stage_limit_admits_edit_distance_on_200_bases() {
     // The alignment grid holds 110 505 flip-flop stages.
     let out = bin()
         .args(["edit-distance", &lcg_dna(1, 200), &lcg_dna(2, 200)])
